@@ -125,10 +125,6 @@ def disj(*items: Formula) -> Formula:
     return flat[0] if len(flat) == 1 else Or(flat)
 
 
-def v(*names: str) -> tuple[Var, ...]:
-    return tuple(Var(n) for n in names)
-
-
 def _term_text(t: Term) -> str:
     if isinstance(t, Var):
         return t.name

@@ -21,7 +21,7 @@ with affine betweenness.  Both behaviors are pinned by regression tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from ..oracles import RelationId
@@ -78,9 +78,6 @@ class TruncationParams:
         if self.b_mode not in B_MODES:
             raise SchemaError(f"b_mode must be one of {B_MODES}")
 
-    def with_n(self, n: int) -> "TruncationParams":
-        return replace(self, N=n)
-
     def to_dict(self) -> dict:
         return {
             "K": self.K,
@@ -135,7 +132,7 @@ def _gamma(a: str, b: str, c: str) -> SchemaRef:
 
 def _chain_exists(conjuncts: list[Formula], bound: list[str], leaf_extra: Formula | None = None) -> Formula:
     """Nest ``conjuncts`` so conjunct i sits just inside the quantifier of
-    ``bound[i]`` (的 its newest variable); trailing conjuncts without a new
+    ``bound[i]`` (its newest variable); trailing conjuncts without a new
     variable join the innermost body."""
     body: Formula = conjuncts[-1] if leaf_extra is None else And((conjuncts[-1], leaf_extra))
     for i in reversed(range(len(conjuncts) - 1)):

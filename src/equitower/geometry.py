@@ -5,10 +5,15 @@ equidistance (``equidistant``): segment ab is as long as segment cd.  All
 other comparisons offered here (scaled equality, length order, two-leg path
 equality) exist for oracles, witness construction, and axiom checking.
 
-On the exact backend every predicate is decided with integer arithmetic:
-L1 and Linf lengths are rational, and L2 comparisons go through squared
-distances (single lengths) or through the radical comparators in
-:mod:`equitower.scalars` (sums of lengths).
+Every ``Space`` holds one comparison kernel chosen by its norm and backend
+(:mod:`equitower.kernel`): exact l1, exact linf, exact l2, or float.  An
+exact kernel reads each coordinate's numerator and denominator once and
+never builds a ``Fraction``: a length is an integer pair ``(num, den)``
+(the l1 or linf length, or the squared l2 length), two lengths compare by
+cross-multiplication (``n1*d2 == n2*d1``), and a rational scale ``qn/qd``
+enters the same way, squared on l2.  The float kernel compares doubles
+under the space's tolerance.  The length values (``sq_dist``,
+``_exact_len``, ``distance``) stay Fractions for constructions.
 """
 
 from __future__ import annotations
@@ -18,15 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .scalars import (
-    Rad,
-    ceil_sqrt,
-    cmp_radical_sums,
-    float_eq,
-    float_le,
-    format_exact,
-    parse_exact,
-)
+from .kernel import ExactKernel, FloatKernel, kernel_for
+from .scalars import Rad, float_eq, format_exact, parse_exact
 
 Scalar = Union[Fraction, float]
 
@@ -121,6 +119,26 @@ def lp(p: Fraction | int | str) -> NormSpec:
     return NormSpec("lp", Fraction(p))
 
 
+# ----------------------------------------------------------------------
+# scalar arguments of the comparisons
+# ----------------------------------------------------------------------
+
+
+def _ratio(q) -> tuple[int, int]:
+    """A rational as integers (num, den) with den > 0."""
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    return q.as_integer_ratio()
+
+
+def _scale(q) -> tuple[int, int]:
+    """A scale factor q >= 0 as integers (num, den)."""
+    qn, qd = _ratio(q)
+    if qn < 0:
+        raise GeometryError("scale factor must be nonnegative")
+    return qn, qd
+
+
 @dataclass(frozen=True)
 class Space:
     """Norm + backend + comparison tolerance.
@@ -130,11 +148,15 @@ class Space:
     p outside {1, 2, inf} is float-only.  Tolerance must be 0 on the exact
     backend; on floats all comparisons use
     ``|u - v| <= tolerance * max(1, |u|, |v|)``.
+
+    ``kernel`` is the comparison kernel for the norm and backend, derived
+    in ``__post_init__``; it takes no part in equality, hashing or repr.
     """
 
     norm: NormSpec = field(default=L2)
     backend: str = EXACT
     tolerance: float = 0.0
+    kernel: ExactKernel | FloatKernel = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.backend not in (EXACT, FLOAT):
@@ -147,6 +169,7 @@ class Space:
         else:
             if self.tolerance < 0:
                 raise GeometryError("tolerance must be nonnegative")
+        object.__setattr__(self, "kernel", kernel_for(self.norm, self.backend, self.tolerance))
 
     # ------------------------------------------------------------------
     # point plumbing
@@ -166,12 +189,10 @@ class Space:
         return p
 
     def points_eq(self, a: Point, b: Point) -> bool:
-        if self.backend == EXACT:
-            return a.x == b.x and a.y == b.y
-        return float_eq(self._fdist(a, b), 0.0, self.tolerance)
+        return self.kernel.points_eq(a, b)
 
     # ------------------------------------------------------------------
-    # lengths
+    # lengths (values, for constructions; comparisons go through the kernel)
     # ------------------------------------------------------------------
 
     def sq_dist(self, a: Point, b: Point) -> Fraction:
@@ -185,16 +206,8 @@ class Space:
         return max(dx, dy)
 
     def _fdist(self, a: Point, b: Point) -> float:
-        dx, dy = abs(a.x - b.x), abs(a.y - b.y)
-        kind = self.norm.kind
-        if kind == "l1":
-            return dx + dy
-        if kind == "linf":
-            return max(dx, dy)
-        if kind == "l2":
-            return math.hypot(dx, dy)
-        p = float(self.p_value())
-        return (dx**p + dy**p) ** (1.0 / p)
+        """The float length; float backend only."""
+        return self.kernel.dist(a, b)
 
     def p_value(self) -> Fraction:
         assert self.norm.kind == "lp" and self.norm.p is not None
@@ -221,65 +234,27 @@ class Space:
 
     def eq_dist(self, a: Point, b: Point, c: Point, d: Point) -> bool:
         """The primitive relation: d(a,b) = d(c,d)."""
-        if self.backend == FLOAT:
-            return float_eq(self._fdist(a, b), self._fdist(c, d), self.tolerance)
-        if self.norm.kind == "l2":
-            return self.sq_dist(a, b) == self.sq_dist(c, d)
-        return self._exact_len(a, b) == self._exact_len(c, d)
+        return self.kernel.eq_dist(a, b, c, d)
 
     def eq_dist_scaled(self, a: Point, b: Point, q, c: Point, d: Point) -> bool:
         """d(a,b) = q * d(c,d) for rational q >= 0."""
-        q = Fraction(q)
-        if q < 0:
-            raise GeometryError("scale factor must be nonnegative")
-        if self.backend == FLOAT:
-            return float_eq(self._fdist(a, b), float(q) * self._fdist(c, d), self.tolerance)
-        if self.norm.kind == "l2":
-            return self.sq_dist(a, b) == q * q * self.sq_dist(c, d)
-        return self._exact_len(a, b) == q * self._exact_len(c, d)
+        return self.kernel.eq_dist_scaled(a, b, *_scale(q), c, d)
 
     def le_dist(self, a: Point, b: Point, c: Point, d: Point) -> bool:
         """d(a,b) <= d(c,d)."""
-        if self.backend == FLOAT:
-            return float_le(self._fdist(a, b), self._fdist(c, d), self.tolerance)
-        if self.norm.kind == "l2":
-            return self.sq_dist(a, b) <= self.sq_dist(c, d)
-        return self._exact_len(a, b) <= self._exact_len(c, d)
+        return self.kernel.le_dist(a, b, c, d)
 
     def le_dist_scaled(self, a: Point, b: Point, q, c: Point, d: Point) -> bool:
         """d(a,b) <= q * d(c,d) for rational q >= 0."""
-        q = Fraction(q)
-        if q < 0:
-            raise GeometryError("scale factor must be nonnegative")
-        if self.backend == FLOAT:
-            return float_le(self._fdist(a, b), float(q) * self._fdist(c, d), self.tolerance)
-        if self.norm.kind == "l2":
-            return self.sq_dist(a, b) <= q * q * self.sq_dist(c, d)
-        return self._exact_len(a, b) <= q * self._exact_len(c, d)
+        return self.kernel.le_dist_scaled(a, b, *_scale(q), c, d)
 
     def ge_dist_scaled(self, a: Point, b: Point, q, c: Point, d: Point) -> bool:
         """d(a,b) >= q * d(c,d) for rational q >= 0."""
-        q = Fraction(q)
-        if q < 0:
-            raise GeometryError("scale factor must be nonnegative")
-        if self.backend == FLOAT:
-            return float_le(float(q) * self._fdist(c, d), self._fdist(a, b), self.tolerance)
-        if self.norm.kind == "l2":
-            return self.sq_dist(a, b) >= q * q * self.sq_dist(c, d)
-        return self._exact_len(a, b) >= q * self._exact_len(c, d)
+        return self.kernel.ge_dist_scaled(a, b, *_scale(q), c, d)
 
     def path_sum_eq(self, a: Point, b: Point, c: Point) -> bool:
         """d(a,b) + d(b,c) = d(a,c): b is metrically on a shortest path."""
-        if self.backend == FLOAT:
-            return float_eq(
-                self._fdist(a, b) + self._fdist(b, c), self._fdist(a, c), self.tolerance
-            )
-        if self.norm.kind != "l2":
-            return self._exact_len(a, b) + self._exact_len(b, c) == self._exact_len(a, c)
-        # sqrt(A) + sqrt(B) = sqrt(C)  <=>  C - A - B >= 0 and (C-A-B)^2 = 4AB
-        ab, bc, ac = self.sq_dist(a, b), self.sq_dist(b, c), self.sq_dist(a, c)
-        lead = ac - ab - bc
-        return lead >= 0 and lead * lead == 4 * ab * bc
+        return self.kernel.path_sum_eq(a, b, c)
 
     def path_defect_at_most(self, a: Point, b: Point, c: Point, coeff: Fraction) -> bool:
         """d(a,b) + d(b,c) <= d(a,c) + coeff * d(a,b), decided exactly.
@@ -289,38 +264,17 @@ class Space:
         blind band of the truncated metric-betweenness tower at depth K is
         exactly coeff = 2^(1-K).
         """
-        coeff = Fraction(coeff)
-        if not 0 <= coeff <= 1:
+        cn, cd = _ratio(coeff)
+        if not 0 <= cn <= cd:
             raise GeometryError("defect coefficient must lie in [0, 1]")
-        if self.backend == FLOAT:
-            lhs = self._fdist(a, b) + self._fdist(b, c)
-            rhs = self._fdist(a, c) + float(coeff) * self._fdist(a, b)
-            return float_le(lhs, rhs, self.tolerance)
-        if self.norm.kind != "l2":
-            lhs = self._exact_len(a, b) + self._exact_len(b, c)
-            return lhs <= self._exact_len(a, c) + coeff * self._exact_len(a, b)
-        left = ((1 - coeff) * Rad.sqrt(self.sq_dist(a, b)), Rad.sqrt(self.sq_dist(b, c)))
-        right = (Rad.sqrt(self.sq_dist(a, c)),)
-        return cmp_radical_sums(left, right) <= 0
+        return self.kernel.path_defect_at_most(a, b, c, cn, cd)
 
     def scaled_ratio_ceil(self, factor: int, num: tuple[Point, Point], den: tuple[Point, Point]) -> int:
         """ceil(factor * d(num) / d(den)), decided exactly on the exact backend."""
-        a, b = num
-        c, d = den
-        if self.backend == FLOAT:
-            dd = self._fdist(c, d)
-            if dd == 0.0:
-                raise GeometryError("ratio against a degenerate segment")
-            return math.ceil(factor * self._fdist(a, b) / dd)
-        if self.norm.kind == "l2":
-            den_sq = self.sq_dist(c, d)
-            if den_sq == 0:
-                raise GeometryError("ratio against a degenerate segment")
-            return ceil_sqrt(Fraction(factor * factor) * self.sq_dist(a, b) / den_sq)
-        den_len = self._exact_len(c, d)
-        if den_len == 0:
+        ceil = self.kernel.scaled_ratio_ceil(factor, *num, *den)
+        if ceil is None:
             raise GeometryError("ratio against a degenerate segment")
-        return math.ceil(Fraction(factor) * self._exact_len(a, b) / den_len)
+        return ceil
 
     def label(self) -> str:
         return f"{self.norm.label()}/{self.backend}"
@@ -367,20 +321,6 @@ def _as_length(space: Space, value) -> Scalar:
     if v < 0:
         raise GeometryError("radii must be nonnegative")
     return v
-
-
-def _annulus_ok(space: Space, c: Point, radius_c, d: Point, radius_d) -> bool:
-    big, small = max(radius_c, radius_d), min(radius_c, radius_d)
-    if space.backend == FLOAT:
-        g = space._fdist(c, d)
-        tol = space.tolerance
-        return float_le(big - small, g, tol) and float_le(g, big + small, tol)
-    if space.norm.kind == "l2":
-        g2 = space.sq_dist(c, d)
-        lo, hi = big - small, big + small
-        return lo * lo <= g2 <= hi * hi
-    g = space._exact_len(c, d)
-    return big - small <= g <= big + small
 
 
 def _ball_vertices(kind: str, center: Point, radius) -> list[Point]:
@@ -503,7 +443,7 @@ def sphere_intersection_point(space: Space, c: Point, radius_c, d: Point, radius
     space.check_point(d)
     rc = _as_length(space, radius_c)
     rd = _as_length(space, radius_d)
-    if not _annulus_ok(space, c, rc, d, rd):
+    if not space.kernel.annulus_ok(c, rc, d, rd):
         raise NoIntersectionError(
             f"spheres ({c}, r={rc}) and ({d}, r={rd}) do not meet in {space.label()}"
         )

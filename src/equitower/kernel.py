@@ -1,0 +1,243 @@
+"""Comparison kernels: how a ``Space`` decides length comparisons.
+
+There is one kernel per norm and backend: exact l1, exact linf, exact l2,
+or float (any norm).  ``kernel_for`` picks it; ``Space`` holds it and
+validates the arguments before calling it.
+
+An exact kernel reads each coordinate's numerator and denominator once and
+never builds a ``Fraction`` on the comparison path.  A length is an integer
+pair ``(num, den)`` with ``den > 0``: the l1 or linf length, or the squared
+l2 length.  Two lengths compare by cross-multiplication (``n1*d2 == n2*d1``),
+and a rational scale ``qn/qd`` enters the same way, squared on l2.  Sums of
+l2 lengths are decided by squaring out the radicals: on integers for
+``path_sum_eq``, through :func:`equitower.scalars.cmp_radical_sums` for
+``path_defect_at_most``.  The float kernel compares doubles with
+``float_eq``/``float_le`` under the space's tolerance.
+
+Points are only read through ``.x``/``.y``; exact coordinates may be
+``Fraction`` or ``int``.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from fractions import Fraction
+from typing import TYPE_CHECKING
+
+from .scalars import Rad, ceil_sqrt, cmp_radical_sums, float_eq, float_le
+
+if TYPE_CHECKING:
+    from .geometry import NormSpec, Point
+
+
+def _gaps(a: Point, b: Point) -> tuple[int, int, int, int]:
+    """|a.x - b.x| = xn/xd and |a.y - b.y| = yn/yd as integers, xd, yd > 0."""
+    axn, axd = a.x.as_integer_ratio()
+    bxn, bxd = b.x.as_integer_ratio()
+    ayn, ayd = a.y.as_integer_ratio()
+    byn, byd = b.y.as_integer_ratio()
+    return abs(axn * bxd - bxn * axd), axd * bxd, abs(ayn * byd - byn * ayd), ayd * byd
+
+
+class ExactKernel:
+    """Exact comparisons on integer lengths ``(num, den)``, den > 0.
+
+    Subclasses define ``length(a, b)``; ``squared`` is set when that is the
+    squared length, so that scale factors enter squared too.
+    """
+
+    squared = False
+
+    def points_eq(self, a: Point, b: Point) -> bool:
+        return (
+            a.x.as_integer_ratio() == b.x.as_integer_ratio()
+            and a.y.as_integer_ratio() == b.y.as_integer_ratio()
+        )
+
+    def eq_dist(self, a: Point, b: Point, c: Point, d: Point) -> bool:
+        n1, d1 = self.length(a, b)
+        n2, d2 = self.length(c, d)
+        return n1 * d2 == n2 * d1
+
+    def le_dist(self, a: Point, b: Point, c: Point, d: Point) -> bool:
+        n1, d1 = self.length(a, b)
+        n2, d2 = self.length(c, d)
+        return n1 * d2 <= n2 * d1
+
+    def _scaled_sides(self, a: Point, b: Point, qn: int, qd: int, c: Point, d: Point) -> tuple[int, int]:
+        """Integers ordered as d(a,b) is to (qn/qd) * d(c,d)."""
+        n1, d1 = self.length(a, b)
+        n2, d2 = self.length(c, d)
+        if self.squared:
+            qn, qd = qn * qn, qd * qd
+        return n1 * d2 * qd, qn * n2 * d1
+
+    def eq_dist_scaled(self, a: Point, b: Point, qn: int, qd: int, c: Point, d: Point) -> bool:
+        lhs, rhs = self._scaled_sides(a, b, qn, qd, c, d)
+        return lhs == rhs
+
+    def le_dist_scaled(self, a: Point, b: Point, qn: int, qd: int, c: Point, d: Point) -> bool:
+        lhs, rhs = self._scaled_sides(a, b, qn, qd, c, d)
+        return lhs <= rhs
+
+    def ge_dist_scaled(self, a: Point, b: Point, qn: int, qd: int, c: Point, d: Point) -> bool:
+        lhs, rhs = self._scaled_sides(a, b, qn, qd, c, d)
+        return lhs >= rhs
+
+    def scaled_ratio_ceil(self, factor: int, a: Point, b: Point, c: Point, d: Point) -> int | None:
+        """ceil(factor * d(a,b) / d(c,d)), or None when d(c,d) = 0."""
+        n1, d1 = self.length(a, b)
+        n2, d2 = self.length(c, d)
+        if n2 == 0:
+            return None
+        if self.squared:
+            return ceil_sqrt(factor * factor * n1 * d2, d1 * n2)
+        return -(-factor * n1 * d2 // (d1 * n2))
+
+    def annulus_ok(self, c: Point, radius_c, d: Point, radius_d) -> bool:
+        """|R - r| <= d(c,d) <= R + r, over the radii's common denominator."""
+        pn, pd = radius_c.as_integer_ratio()
+        rn, rd = radius_d.as_integer_ratio()
+        gn, gd = self.length(c, d)
+        lo, hi, den = abs(pn * rd - rn * pd), pn * rd + rn * pd, pd * rd
+        if self.squared:
+            lo, hi, den = lo * lo, hi * hi, den * den
+        return lo * gd <= gn * den <= hi * gd
+
+
+class _BoxKernel(ExactKernel):
+    """l1 and linf, whose lengths are rational."""
+
+    def path_sum_eq(self, a: Point, b: Point, c: Point) -> bool:
+        n1, d1 = self.length(a, b)
+        n2, d2 = self.length(b, c)
+        n3, d3 = self.length(a, c)
+        return (n1 * d2 + n2 * d1) * d3 == n3 * d1 * d2
+
+    def path_defect_at_most(self, a: Point, b: Point, c: Point, cn: int, cd: int) -> bool:
+        # (1 - cn/cd) * d(a,b) + d(b,c) <= d(a,c), times cd*d1*d2*d3
+        n1, d1 = self.length(a, b)
+        n2, d2 = self.length(b, c)
+        n3, d3 = self.length(a, c)
+        return ((cd - cn) * n1 * d2 + cd * n2 * d1) * d3 <= cd * n3 * d1 * d2
+
+
+class _ExactL1Kernel(_BoxKernel):
+    @staticmethod
+    def length(a: Point, b: Point) -> tuple[int, int]:
+        xn, xd, yn, yd = _gaps(a, b)
+        return xn * yd + yn * xd, xd * yd
+
+
+class _ExactLinfKernel(_BoxKernel):
+    @staticmethod
+    def length(a: Point, b: Point) -> tuple[int, int]:
+        xn, xd, yn, yd = _gaps(a, b)
+        return (xn, xd) if xn * yd >= yn * xd else (yn, yd)
+
+
+class _ExactL2Kernel(ExactKernel):
+    squared = True
+
+    @staticmethod
+    def length(a: Point, b: Point) -> tuple[int, int]:
+        """The squared Euclidean length."""
+        xn, xd, yn, yd = _gaps(a, b)
+        u, v, w = xn * yd, yn * xd, xd * yd
+        return u * u + v * v, w * w
+
+    def path_sum_eq(self, a: Point, b: Point, c: Point) -> bool:
+        # sqrt(A) + sqrt(B) = sqrt(C)  <=>  C - A - B >= 0 and (C-A-B)^2 = 4AB;
+        # both sides are multiplied by the product of the three denominators
+        n1, d1 = self.length(a, b)
+        n2, d2 = self.length(b, c)
+        n3, d3 = self.length(a, c)
+        lead = n3 * d1 * d2 - (n1 * d2 + n2 * d1) * d3
+        return lead >= 0 and lead * lead == 4 * n1 * n2 * d1 * d2 * d3 * d3
+
+    def path_defect_at_most(self, a: Point, b: Point, c: Point, cn: int, cd: int) -> bool:
+        left = (
+            Fraction(cd - cn, cd) * Rad.sqrt(Fraction(*self.length(a, b))),
+            Rad.sqrt(Fraction(*self.length(b, c))),
+        )
+        right = (Rad.sqrt(Fraction(*self.length(a, c))),)
+        return cmp_radical_sums(left, right) <= 0
+
+
+_EXACT_KERNELS = {"l1": _ExactL1Kernel(), "linf": _ExactLinfKernel(), "l2": _ExactL2Kernel()}
+
+
+def _l1_fdist(a: Point, b: Point) -> float:
+    return abs(a.x - b.x) + abs(a.y - b.y)
+
+
+def _linf_fdist(a: Point, b: Point) -> float:
+    return max(abs(a.x - b.x), abs(a.y - b.y))
+
+
+def _l2_fdist(a: Point, b: Point) -> float:
+    return math.hypot(a.x - b.x, a.y - b.y)
+
+
+def _lp_fdist(p: float, a: Point, b: Point) -> float:
+    return (abs(a.x - b.x) ** p + abs(a.y - b.y) ** p) ** (1.0 / p)
+
+
+_FLOAT_DISTS = {"l1": _l1_fdist, "linf": _linf_fdist, "l2": _l2_fdist}
+
+
+class FloatKernel:
+    """Double-precision comparisons under ``float_eq``/``float_le`` with a tolerance."""
+
+    def __init__(self, norm: NormSpec, tolerance: float):
+        if norm.kind == "lp":
+            self.dist = functools.partial(_lp_fdist, float(norm.p))
+        else:
+            self.dist = _FLOAT_DISTS[norm.kind]
+        self.tol = tolerance
+
+    def points_eq(self, a: Point, b: Point) -> bool:
+        return float_eq(self.dist(a, b), 0.0, self.tol)
+
+    def eq_dist(self, a: Point, b: Point, c: Point, d: Point) -> bool:
+        return float_eq(self.dist(a, b), self.dist(c, d), self.tol)
+
+    def le_dist(self, a: Point, b: Point, c: Point, d: Point) -> bool:
+        return float_le(self.dist(a, b), self.dist(c, d), self.tol)
+
+    def eq_dist_scaled(self, a: Point, b: Point, qn: int, qd: int, c: Point, d: Point) -> bool:
+        return float_eq(self.dist(a, b), qn / qd * self.dist(c, d), self.tol)
+
+    def le_dist_scaled(self, a: Point, b: Point, qn: int, qd: int, c: Point, d: Point) -> bool:
+        return float_le(self.dist(a, b), qn / qd * self.dist(c, d), self.tol)
+
+    def ge_dist_scaled(self, a: Point, b: Point, qn: int, qd: int, c: Point, d: Point) -> bool:
+        return float_le(qn / qd * self.dist(c, d), self.dist(a, b), self.tol)
+
+    def path_sum_eq(self, a: Point, b: Point, c: Point) -> bool:
+        return float_eq(self.dist(a, b) + self.dist(b, c), self.dist(a, c), self.tol)
+
+    def path_defect_at_most(self, a: Point, b: Point, c: Point, cn: int, cd: int) -> bool:
+        lhs = self.dist(a, b) + self.dist(b, c)
+        rhs = self.dist(a, c) + cn / cd * self.dist(a, b)
+        return float_le(lhs, rhs, self.tol)
+
+    def scaled_ratio_ceil(self, factor: int, a: Point, b: Point, c: Point, d: Point) -> int | None:
+        """ceil(factor * d(a,b) / d(c,d)), or None when d(c,d) = 0."""
+        dd = self.dist(c, d)
+        if dd == 0.0:
+            return None
+        return math.ceil(factor * self.dist(a, b) / dd)
+
+    def annulus_ok(self, c: Point, radius_c, d: Point, radius_d) -> bool:
+        big, small = max(radius_c, radius_d), min(radius_c, radius_d)
+        g = self.dist(c, d)
+        return float_le(big - small, g, self.tol) and float_le(g, big + small, self.tol)
+
+
+def kernel_for(norm: NormSpec, backend: str, tolerance: float) -> ExactKernel | FloatKernel:
+    """The kernel of a validated (norm, backend, tolerance): exact kernels are shared."""
+    if backend == "exact":
+        return _EXACT_KERNELS[norm.kind]
+    return FloatKernel(norm, tolerance)

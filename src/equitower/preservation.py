@@ -389,10 +389,6 @@ def run_similarity_sweep(
     return reports
 
 
-def apply_map(plane_map: PlaneMap, p: Point) -> Point:
-    return plane_map.apply(p)
-
-
 def run_experiment(
     space: Space,
     maps: list[PlaneMap],
@@ -422,7 +418,3 @@ def run_experiment(
         "maps": results,
         "expectation_mismatches": mismatches,
     }
-
-
-# the experiment runner under its conventional name
-run_vogt_experiment = run_experiment

@@ -32,15 +32,6 @@ def apply_matrix(m: Matrix, v: Point) -> Point:
     return Point(m[0] * v.x + m[1] * v.y, m[2] * v.x + m[3] * v.y)
 
 
-def mat_mul(m: Matrix, n: Matrix) -> Matrix:
-    return (
-        m[0] * n[0] + m[1] * n[2],
-        m[0] * n[1] + m[1] * n[3],
-        m[2] * n[0] + m[3] * n[2],
-        m[2] * n[1] + m[3] * n[3],
-    )
-
-
 def rational_rotation(leg_a: int, leg_b: int) -> Matrix:
     """Rotation by the angle of a rational point on the unit circle.
 

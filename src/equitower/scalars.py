@@ -73,11 +73,11 @@ def sqrt_exact(q: Fraction) -> Fraction:
     return Fraction(isqrt(q.numerator), isqrt(q.denominator))
 
 
-def ceil_sqrt(q: Fraction) -> int:
-    """Smallest integer m with m*m >= q (q >= 0), decided exactly."""
-    if q <= 0:
+def ceil_sqrt(q: Rational, den: int = 1) -> int:
+    """Smallest integer m >= 0 with m*m >= q/den (den > 0), decided exactly."""
+    n, d = q.numerator, q.denominator * den
+    if n <= 0:
         return 0
-    n, d = q.numerator, q.denominator
     m = isqrt(n // d)
     while m * m * d < n:
         m += 1
