@@ -398,15 +398,6 @@ def check_axiom_i(space: Space, samples: int, seed: int, chain_cap: int = 12) ->
     return rep
 
 
-def check_axiom_f_g(space: Space, samples: int, seed: int, constructions: int | None = None) -> list[AxiomReport]:
-    """Both triangle axioms: the sampled weak inequality and the
-    constructive existence check."""
-    return [
-        check_axiom_f(space, samples, seed),
-        check_axiom_g(space, constructions if constructions is not None else samples, seed + 1),
-    ]
-
-
 CHECKERS: dict[str, Callable] = {
     "a": check_axiom_a,
     "b": check_axiom_b,

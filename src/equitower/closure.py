@@ -32,6 +32,7 @@ from .geometry import (
     sphere_intersection_point,
 )
 from .oracles import RelationId, oracle_psi
+from .sampling import scale_vector
 from .scalars import is_square, sqrt_exact
 from .universe import (
     DEFAULT_SIZE_CAP,
@@ -340,7 +341,7 @@ def _le_witness_round(space: Space, uni: Universe, a, b, c, d) -> list[Point]:
         if space.points_eq(a, b):
             fresh.append(c)
         elif space.eq_dist_scaled(a, b, 2, c, m):
-            fresh.append(p_add(c, p_scale_vec(space, p_sub(m, c), 2)))
+            fresh.append(p_add(c, scale_vector(space, p_sub(m, c), 2)))
         else:
             candidates = _sphere_pair_candidates(
                 space, c, _length(space, a, b), m, _length(space, c, m)
@@ -349,12 +350,6 @@ def _le_witness_round(space: Space, uni: Universe, a, b, c, d) -> list[Point]:
                 _pick_witness(space, candidates, lambda z: space.eq_dist(z, c, z, d))
             )
     return fresh
-
-
-def p_scale_vec(space: Space, v: Point, q) -> Point:
-    if space.backend == "float":
-        return Point(float(q) * v.x, float(q) * v.y)
-    return Point(Fraction(q) * v.x, Fraction(q) * v.y)
 
 
 def _fixpoint(space: Space, uni: Universe, round_fn, tag: str, rounds: int = 12) -> Universe:

@@ -4,11 +4,18 @@ A similarity (scaling x linear norm-isometry x translation) preserves the
 equidistance relation in both directions and, on every sample drawn so
 far, preserves betweenness as well; that transport claim is the property
 under empirical test here, never an assumption.
+
 Arbitrary maps are classified by sampling: quadruples biased to contain
 exactly-equal segment pairs check both implication directions, segment
-triples check betweenness transport.  Sampling can only certify violations
-(with replayable witnesses); "no violation found in n samples" is reported
-as exactly that.
+triples check betweenness transport.  Every entry point draws its samples
+first and then classifies each map in ``_classify``, the one transport
+path.  On the exact backend an affine map is decided on integer
+difference vectors (b-a, d-c for quadruples, b-a, c-a for triples): each
+sample's points are cleared to integers once, translation drops out, and
+the map's linear part is cleared to integers too.  Nonlinear maps and the
+float backend apply the map pointwise and ask ``space.eq_dist`` and
+``oracle_B``.  Sampling can only certify violations (with replayable
+witnesses); "no violation found in n samples" is reported as exactly that.
 """
 
 from __future__ import annotations
@@ -17,8 +24,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .geometry import EXACT, Point, Space, affine_combination, p_add, p_sub, point_to_record
+from .geometry import EXACT, Point, Space, affine_combination, p_add, point_to_record
 from .oracles import oracle_B
 from .sampling import (
     Matrix,
@@ -216,80 +224,157 @@ def _quadruple(space: Space, rng: random.Random) -> tuple[Point, Point, Point, P
     return a, b, c, rand_point(space, rng)
 
 
+def _cleared(*points: Point) -> list[int]:
+    """The points' coordinates times one common positive denominator."""
+    ratios = [q.as_integer_ratio() for p in points for q in p]
+    k = math.lcm(*(den for _, den in ratios))
+    return [num * (k // den) for num, den in ratios]
+
+
+# the length (l1, linf) or squared length (l2) of an integer vector
+_INT_LENGTH = {
+    "l1": lambda x, y: abs(x) + abs(y),
+    "linf": lambda x, y: max(abs(x), abs(y)),
+    "l2": lambda x, y: x * x + y * y,
+}
+
+
+def _int_between(px: int, py: int, qx: int, qy: int) -> bool:
+    """p = t*q for some t in [0, 1]; with p = b-a and q = c-a, b lies on ac."""
+    if qx == 0 and qy == 0:
+        return px == 0 and py == 0
+    return px * qy == py * qx and 0 <= px * qx + py * qy <= qx * qx + qy * qy
+
+
+def _integer_matrix(m: Matrix) -> tuple[int, int, int, int]:
+    k = math.lcm(*(q.denominator for q in m))
+    return int(m[0] * k), int(m[1] * k), int(m[2] * k), int(m[3] * k)
+
+
+class _Samples(NamedTuple):
+    """Drawn samples in columns: each sample's points, whether the relation
+    holds on them (``pre``), and on the exact backend its two difference
+    vectors scaled to integers by one positive factor (empty on floats)."""
+
+    points: list[tuple[Point, ...]]
+    pre: list[bool]
+    vectors: list[tuple[int, int, int, int]]
+
+
+def _draw_quadruples(space: Space, rng: random.Random, n: int) -> _Samples:
+    """Quadruples (a, b, c, d); ``pre`` is d(a,b) = d(c,d), the vectors are
+    b-a and d-c."""
+    drawn = _Samples([], [], [])
+    length = _INT_LENGTH.get(space.norm.kind)
+    for _ in range(n):
+        a, b, c, d = points = _quadruple(space, rng)
+        drawn.points.append(points)
+        if space.backend == EXACT:
+            ax, ay, bx, by, cx, cy, dx, dy = _cleared(a, b, c, d)
+            ux, uy, vx, vy = vectors = (bx - ax, by - ay, dx - cx, dy - cy)
+            drawn.vectors.append(vectors)
+            drawn.pre.append(length(ux, uy) == length(vx, vy))
+        else:
+            drawn.pre.append(space.eq_dist(a, b, c, d))
+    return drawn
+
+
+def _draw_triples(space: Space, rng: random.Random, n: int) -> _Samples:
+    """Triples (a, b, c) with b = a + t(c-a), t in [0, 1]; ``pre`` is
+    B(a, b, c), the vectors are b-a and c-a."""
+    drawn = _Samples([], [], [])
+    for _ in range(n):
+        a = rand_point(space, rng)
+        c = rand_point(space, rng)
+        t = rng.choice((Fraction(0), Fraction(1), rand_unit_fraction(rng)))
+        b = affine_combination(a, c, t)
+        drawn.points.append((a, b, c))
+        if space.backend == EXACT:
+            ax, ay, bx, by, cx, cy = _cleared(a, b, c)
+            vectors = (bx - ax, by - ay, cx - ax, cy - ay)
+            drawn.vectors.append(vectors)
+            drawn.pre.append(_int_between(*vectors))
+        else:
+            drawn.pre.append(oracle_B(space, a, b, c))
+    return drawn
+
+
+def _pointwise(plane_map: PlaneMap, backend: str):
+    """The map as a point function; a float affine map converts its
+    coefficients once, with the same operations as ``PlaneMap.apply``."""
+    if backend == EXACT or plane_map.kind != "affine":
+        return plane_map.apply
+    m0, m1, m2, m3 = (float(v) for v in plane_map.matrix)
+    s0, s1 = (float(v) for v in plane_map.shift)
+    return lambda p: Point(m0 * p.x + m1 * p.y + s0, m2 * p.x + m3 * p.y + s1)
+
+
+def _classify(
+    space: Space, plane_map: PlaneMap, quads: _Samples, triples: _Samples, rep: PreservationReport
+) -> PreservationReport:
+    """Decide each drawn sample's image under the map and count violations.
+
+    Exact affine maps are decided on the samples' integer difference
+    vectors: translation drops out, and the linear part is cleared to
+    integers by a positive factor, which changes no comparison.  Other maps
+    are applied pointwise and the images go to ``space.eq_dist`` and
+    ``oracle_B``.  Witnesses are the original points of the first violation
+    of each kind.
+    """
+    if space.backend == EXACT and plane_map.kind == "affine":
+        length = _INT_LENGTH[space.norm.kind]
+        m11, m12, m21, m22 = _integer_matrix(plane_map.matrix)
+        post = [
+            length(m11 * ux + m12 * uy, m21 * ux + m22 * uy) == length(m11 * vx + m12 * vy, m21 * vx + m22 * vy)
+            for ux, uy, vx, vy in quads.vectors
+        ]
+        post_between = [
+            _int_between(m11 * px + m12 * py, m21 * px + m22 * py, m11 * qx + m12 * qy, m21 * qx + m22 * qy)
+            for px, py, qx, qy in triples.vectors
+        ]
+    else:
+        apply = _pointwise(plane_map, space.backend)
+        post = [space.eq_dist(apply(a), apply(b), apply(c), apply(d)) for a, b, c, d in quads.points]
+        post_between = [
+            pre and oracle_B(space, apply(a), apply(b), apply(c)) for pre, (a, b, c) in zip(triples.pre, triples.points)
+        ]
+    rep.quadruples += len(quads.points)
+    rep.triples += len(triples.points)
+    # a map that changes no answer, as every similarity, records nothing
+    if post != quads.pre:
+        for pre, post_q, points in zip(quads.pre, post, quads.points):
+            if pre and not post_q:
+                rep.forward_violations += 1
+                rep.first_witnesses.setdefault("forward", [point_to_record(space, p) for p in points])
+            elif post_q and not pre:
+                rep.backward_violations += 1
+                rep.first_witnesses.setdefault("backward", [point_to_record(space, p) for p in points])
+    if post_between != triples.pre:
+        for pre, post_t, points in zip(triples.pre, post_between, triples.points):
+            if pre and not post_t:
+                rep.b_violations += 1
+                rep.first_witnesses.setdefault("betweenness", [point_to_record(space, p) for p in points])
+    return rep
+
+
+def _new_report(space: Space, plane_map: PlaneMap, seed: int) -> PreservationReport:
+    return PreservationReport(map_label=plane_map.label, norm=space.norm.label(), backend=space.backend, seed=seed)
+
+
 def check_equidistance_preservation(
     space: Space, plane_map: PlaneMap, samples: int, seed: int
 ) -> PreservationReport:
     """Both implication directions of equidistance transport under the map."""
-    rng = random.Random(seed)
-    rep = PreservationReport(
-        map_label=plane_map.label, norm=space.norm.label(), backend=space.backend, seed=seed
-    )
-    for _ in range(samples):
-        rep.quadruples += 1
-        a, b, c, d = _quadruple(space, rng)
-        pre = space.eq_dist(a, b, c, d)
-        fa, fb, fc, fd = (plane_map.apply(p) for p in (a, b, c, d))
-        post = space.eq_dist(fa, fb, fc, fd)
-        if pre and not post:
-            rep.forward_violations += 1
-            rep.first_witnesses.setdefault(
-                "forward", [point_to_record(space, p) for p in (a, b, c, d)]
-            )
-        elif post and not pre:
-            rep.backward_violations += 1
-            rep.first_witnesses.setdefault(
-                "backward", [point_to_record(space, p) for p in (a, b, c, d)]
-            )
-    return rep
+    quads = _draw_quadruples(space, random.Random(seed), samples)
+    return _classify(space, plane_map, quads, _Samples([], [], []), _new_report(space, plane_map, seed))
 
 
 def check_B_preservation(
     space: Space, plane_map: PlaneMap, samples: int, seed: int, report: PreservationReport | None = None
 ) -> PreservationReport:
     """Betweenness transport on constructed in-segment triples."""
-    rng = random.Random(seed)
-    rep = report or PreservationReport(
-        map_label=plane_map.label, norm=space.norm.label(), backend=space.backend, seed=seed
-    )
-    for _ in range(samples):
-        rep.triples += 1
-        a = rand_point(space, rng)
-        c = rand_point(space, rng)
-        t = rng.choice((Fraction(0), Fraction(1), rand_unit_fraction(rng)))
-        b = affine_combination(a, c, t)
-        if not oracle_B(space, a, b, c):
-            continue
-        fa, fb, fc = (plane_map.apply(p) for p in (a, b, c))
-        if not oracle_B(space, fa, fb, fc):
-            rep.b_violations += 1
-            rep.first_witnesses.setdefault(
-                "betweenness", [point_to_record(space, p) for p in (a, b, c)]
-            )
-    return rep
-
-
-def _int_vector(u: Point, v: Point) -> tuple[int, int, int, int]:
-    """A pair of vectors scaled jointly into integers (positive factor), which
-    preserves every comparison the sweep makes."""
-    k = 1
-    for q in (u.x, u.y, v.x, v.y):
-        k = k * q.denominator // math.gcd(k, q.denominator)
-    return int(u.x * k), int(u.y * k), int(v.x * k), int(v.y * k)
-
-
-def _int_norm_sq_or_len(kind: str, x: int, y: int) -> int:
-    if kind == "l1":
-        return abs(x) + abs(y)
-    if kind == "linf":
-        return max(abs(x), abs(y))
-    return x * x + y * y
-
-
-def _integer_matrix(m: Matrix) -> tuple[int, int, int, int]:
-    k = 1
-    for q in m:
-        k = k * q.denominator // math.gcd(k, q.denominator)
-    return int(m[0] * k), int(m[1] * k), int(m[2] * k), int(m[3] * k)
+    triples = _draw_triples(space, random.Random(seed), samples)
+    return _classify(space, plane_map, _Samples([], [], []), triples, report or _new_report(space, plane_map, seed))
 
 
 def run_similarity_sweep(
@@ -301,92 +386,15 @@ def run_similarity_sweep(
 ) -> list[PreservationReport]:
     """Check many maps against one seeded sample pool.
 
-    Distances are translation-invariant and absolutely homogeneous, so for
-    an affine map only the linear part applied to segment difference
-    vectors matters; the sweep exploits that with exact integer arithmetic
-    (vectors and matrices cleared of denominators by positive factors,
-    which changes no comparison).  Nonlinear maps fall back to pointwise
-    application.  Pools are drawn once; every map sees every sample.
+    The pool is drawn once, quadruples then triples from one generator, and
+    every map sees every sample.  The pre-answers and, on the exact
+    backend, the integer difference vectors are computed once per sample,
+    not once per map; each map is then classified as in ``check_*``.
     """
-    if space.backend != EXACT:
-        raise MapError("the pooled sweep is exact-backend machinery; use check_* on floats")
     rng = random.Random(seed)
-    kind = space.norm.kind
-    quad_pool = []
-    for _ in range(quadruples):
-        a, b, c, d = _quadruple(space, rng)
-        ux, uy, vx, vy = _int_vector(p_sub(b, a), p_sub(d, c))
-        pre = _int_norm_sq_or_len(kind, ux, uy) == _int_norm_sq_or_len(kind, vx, vy)
-        quad_pool.append((a, b, c, d, ux, uy, vx, vy, pre))
-    triple_pool = []
-    for _ in range(triples):
-        a = rand_point(space, rng)
-        c = rand_point(space, rng)
-        t = rng.choice((Fraction(0), Fraction(1), rand_unit_fraction(rng)))
-        b = affine_combination(a, c, t)
-        px, py, qx, qy = _int_vector(p_sub(b, a), p_sub(c, a))
-        triple_pool.append((a, b, c, px, py, qx, qy))
-    reports = []
-    for plane_map in maps:
-        rep = PreservationReport(
-            map_label=plane_map.label, norm=space.norm.label(), backend=space.backend, seed=seed
-        )
-        if plane_map.kind == "affine":
-            m11, m12, m21, m22 = _integer_matrix(plane_map.matrix)
-            for a, b, c, d, ux, uy, vx, vy, pre in quad_pool:
-                rep.quadruples += 1
-                fux, fuy = m11 * ux + m12 * uy, m21 * ux + m22 * uy
-                fvx, fvy = m11 * vx + m12 * vy, m21 * vx + m22 * vy
-                post = _int_norm_sq_or_len(kind, fux, fuy) == _int_norm_sq_or_len(kind, fvx, fvy)
-                if pre and not post:
-                    rep.forward_violations += 1
-                    rep.first_witnesses.setdefault(
-                        "forward", [point_to_record(space, p) for p in (a, b, c, d)]
-                    )
-                elif post and not pre:
-                    rep.backward_violations += 1
-                    rep.first_witnesses.setdefault(
-                        "backward", [point_to_record(space, p) for p in (a, b, c, d)]
-                    )
-            for a, b, c, px, py, qx, qy in triple_pool:
-                rep.triples += 1
-                fpx, fpy = m11 * px + m12 * py, m21 * px + m22 * py
-                fqx, fqy = m11 * qx + m12 * qy, m21 * qx + m22 * qy
-                # b' = a' + t(c'-a') with t in [0,1]: collinear and dot-bounded
-                if fqx == 0 and fqy == 0:
-                    ok = fpx == 0 and fpy == 0
-                else:
-                    dot = fpx * fqx + fpy * fqy
-                    ok = fpx * fqy - fpy * fqx == 0 and 0 <= dot <= fqx * fqx + fqy * fqy
-                if not ok:
-                    rep.b_violations += 1
-                    rep.first_witnesses.setdefault(
-                        "betweenness", [point_to_record(space, p) for p in (a, b, c)]
-                    )
-        else:
-            apply = plane_map.apply
-            for a, b, c, d, *_rest, pre in quad_pool:
-                rep.quadruples += 1
-                post = space.eq_dist(apply(a), apply(b), apply(c), apply(d))
-                if pre and not post:
-                    rep.forward_violations += 1
-                    rep.first_witnesses.setdefault(
-                        "forward", [point_to_record(space, p) for p in (a, b, c, d)]
-                    )
-                elif post and not pre:
-                    rep.backward_violations += 1
-                    rep.first_witnesses.setdefault(
-                        "backward", [point_to_record(space, p) for p in (a, b, c, d)]
-                    )
-            for a, b, c, *_vecs in triple_pool:
-                rep.triples += 1
-                if not oracle_B(space, apply(a), apply(b), apply(c)):
-                    rep.b_violations += 1
-                    rep.first_witnesses.setdefault(
-                        "betweenness", [point_to_record(space, p) for p in (a, b, c)]
-                    )
-        reports.append(rep)
-    return reports
+    quads = _draw_quadruples(space, rng, quadruples)
+    tris = _draw_triples(space, rng, triples)
+    return [_classify(space, m, quads, tris, _new_report(space, m, seed)) for m in maps]
 
 
 def run_experiment(

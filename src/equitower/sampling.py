@@ -87,11 +87,13 @@ def rand_unit_fraction(rng: random.Random, max_den: int = 16) -> Fraction:
 
 
 def rand_point(space: Space, rng: random.Random, span: int = 24, max_den: int = 8) -> Point:
-    x = rand_fraction(rng, span, max_den)
-    y = rand_fraction(rng, span, max_den)
+    """A point with coordinates drawn as by ``rand_fraction``; on floats the
+    int division rounds correctly, so it equals ``float(rand_fraction(...))``."""
     if space.backend == "float":
-        return Point(float(x), float(y))
-    return Point(x, y)
+        x = rng.randint(-span, span) / rng.randint(1, max_den)
+        return Point(x, rng.randint(-span, span) / rng.randint(1, max_den))
+    x = rand_fraction(rng, span, max_den)
+    return Point(x, rand_fraction(rng, span, max_den))
 
 
 def rand_nonzero_vector(space: Space, rng: random.Random, span: int = 12) -> Point:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -126,6 +127,26 @@ class TestDeterminism:
         assert main(argv + ["--output", str(out1)]) == 0
         assert main(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+# SHA-256 of `vogt --seed 42 --quadruples 150 --triples 100 --output FILE` on the
+# built-in map suite.  A change to sampling, classification or report layout
+# that moves any byte of these reports shows up here.
+GOLDEN_VOGT_SHA256 = {
+    ("l1", "exact"): "0bc718210ba3cf4233c5f3e72c75a775dcf1f4ebbe5c9723493fdd6302f49f76",
+    ("linf", "exact"): "500f43411ca1b950e213919c2ed17b2d6c5c697ac8932e68c1a5bae72852c059",
+    ("l2", "exact"): "6b456870634c4745c67e16043f57e98d3b4984538340f1b28023b46010c249c8",
+    ("l2", "float"): "63d92a2f79d963e9fbf093bd0293a16fdbb571add92995c4bc70542e14e2c99f",
+}
+
+
+@pytest.mark.parametrize("norm,backend", sorted(GOLDEN_VOGT_SHA256))
+def test_vogt_report_bytes_are_pinned(tmp_path, norm, backend):
+    out = tmp_path / "vogt.json"
+    argv = ["vogt", "--seed", "42", "--quadruples", "150", "--triples", "100",
+            "--norm", norm, "--backend", backend, "--output", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_VOGT_SHA256[norm, backend]
 
 
 class TestHelp:

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from equitower import L1, L2, LINF, Point, Space
+from equitower.geometry import affine_combination, p_add, point_to_record
+from equitower.oracles import oracle_B
 from equitower.preservation import (
     ANISOTROPIC,
     CUBIC_X,
@@ -14,11 +17,18 @@ from equitower.preservation import (
     compose,
     linear_map,
     run_experiment,
+    run_similarity_sweep,
     similarity,
     similarity_suite,
     translation,
 )
-from equitower.sampling import isometry_generators
+from equitower.sampling import (
+    equal_length_mate,
+    isometry_generators,
+    rand_fraction,
+    rand_point,
+    rand_unit_fraction,
+)
 
 F = Fraction
 S2 = Space(L2, "exact")
@@ -119,3 +129,125 @@ class TestClassification:
     def test_empty_map_list(self):
         summary = run_experiment(S2, [], 10, 10, seed=30)
         assert summary["maps"] == []
+
+
+# ----------------------------------------------------------------------
+# differential check: every entry point against a pointwise reference
+# ----------------------------------------------------------------------
+
+DIFF_PLANES = [Space(L1, "exact"), Space(L2, "exact"), Space(LINF, "exact"), Space(L2, "float")]
+
+
+def _ref_quadruples(space, rng, n):
+    """The harness's quadruple draws, written out from the samplers."""
+    out = []
+    for _ in range(n):
+        a, c, b = rand_point(space, rng), rand_point(space, rng), rand_point(space, rng)
+        if rng.random() < 0.5:
+            d = p_add(c, equal_length_mate(space, rng, Point(b.x - a.x, b.y - a.y)))
+        else:
+            d = rand_point(space, rng)
+        out.append((a, b, c, d))
+    return out
+
+
+def _ref_triples(space, rng, n):
+    out = []
+    for _ in range(n):
+        a, c = rand_point(space, rng), rand_point(space, rng)
+        t = rng.choice((F(0), F(1), rand_unit_fraction(rng)))
+        out.append((a, affine_combination(a, c, t), c))
+    return out
+
+
+def _ref_classify(space, plane_map, quads, triples):
+    """Counts and first witnesses from mapping every point and asking the
+    space and the betweenness oracle about the images."""
+    f = plane_map.apply
+    counts = {"quadruples": len(quads), "triples": len(triples),
+              "forward_violations": 0, "backward_violations": 0, "b_violations": 0}
+    witnesses = {}
+    for pts in quads:
+        pre = space.eq_dist(*pts)
+        post = space.eq_dist(*(f(p) for p in pts))
+        if pre != post:
+            kind = "forward" if pre else "backward"
+            counts[f"{kind}_violations"] += 1
+            witnesses.setdefault(kind, [point_to_record(space, p) for p in pts])
+    for pts in triples:
+        if oracle_B(space, *pts) and not oracle_B(space, *(f(p) for p in pts)):
+            counts["b_violations"] += 1
+            witnesses.setdefault("betweenness", [point_to_record(space, p) for p in pts])
+    return counts, witnesses
+
+
+def _observed(rep):
+    counts = {k: getattr(rep, k) for k in ("quadruples", "triples", "forward_violations",
+                                           "backward_violations", "b_violations")}
+    return counts, rep.first_witnesses
+
+
+def _diff_maps(space):
+    suite = similarity_suite(space)
+    return suite[::5] + [SHEAR_X, ANISOTROPIC, CUBIC_X, compose(suite[7], SHEAR_X, label="sim∘shear")]
+
+
+@pytest.mark.parametrize("space", DIFF_PLANES, ids=lambda s: s.label())
+def test_entry_points_match_a_pointwise_reference(space):
+    maps = _diff_maps(space)
+    quads, triples, seed = 120, 60, 4242
+    summary = run_experiment(space, maps, quads, triples, seed)
+    for index, plane_map in enumerate(maps):
+        want = _ref_classify(
+            space, plane_map,
+            _ref_quadruples(space, random.Random(seed + 1000 * index), quads),
+            _ref_triples(space, random.Random(seed + 1000 * index + 1), triples),
+        )
+        entry = summary["maps"][index]
+        assert ({k: entry[k] for k in want[0]}, entry["first_witnesses"]) == want, plane_map.label
+        rep = check_equidistance_preservation(space, plane_map, quads, seed + 1000 * index)
+        rep = check_B_preservation(space, plane_map, triples, seed + 1000 * index + 1, rep)
+        assert _observed(rep) == want, plane_map.label
+    assert any(e["forward_violations"] for e in summary["maps"])
+    assert any(e["b_violations"] for e in summary["maps"])
+    if space.backend != "exact":
+        return
+    rng = random.Random(seed)
+    pool = (_ref_quadruples(space, rng, quads), _ref_triples(space, rng, triples))
+    for plane_map, rep in zip(maps, run_similarity_sweep(space, maps, quads, triples, seed)):
+        assert _observed(rep) == _ref_classify(space, plane_map, *pool), plane_map.label
+
+
+def test_sweep_runs_on_floats_like_the_reference():
+    space = Space(L2, "float")
+    maps = _diff_maps(space)
+    rng = random.Random(77)
+    pool = (_ref_quadruples(space, rng, 120), _ref_triples(space, rng, 60))
+    for plane_map, rep in zip(maps, run_similarity_sweep(space, maps, 120, 60, 77)):
+        assert _observed(rep) == _ref_classify(space, plane_map, *pool), plane_map.label
+
+
+def test_integer_betweenness_agrees_with_the_oracle():
+    from equitower.preservation import _int_between
+
+    rng = random.Random(5)
+
+    def lattice_point():
+        return Point(F(rng.randint(-4, 4)), F(rng.randint(-4, 4)))
+
+    for _ in range(2000):
+        a, c = lattice_point(), lattice_point()
+        # t ranges over [-1, 2] in thirds, so b also lands off the segment
+        b = affine_combination(a, c, F(rng.randint(-3, 6), 3)) if rng.random() < 0.7 else lattice_point()
+        px, py, qx, qy = (int(3 * v) for v in (b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y))
+        assert _int_between(px, py, qx, qy) == oracle_B(S2, a, b, c), (a, b, c)
+
+
+def test_float_rand_point_equals_rounded_rand_fraction():
+    space = Space(L2, "float")
+    drawn, ref = random.Random(99), random.Random(99)
+    for _ in range(20_000):
+        p = rand_point(space, drawn)
+        x, y = float(rand_fraction(ref)), float(rand_fraction(ref))
+        assert (p.x, p.y) == (x, y) and isinstance(p.x, float) and isinstance(p.y, float)
+    assert drawn.random() == ref.random()
