@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .closure import _exact_length_ratio
 from .formulas.schemas import TruncationParams
 from .formulas.verify import verification_space, verify_layer
 from .geometry import (
@@ -53,7 +52,6 @@ from .sampling import (
     rational_distance_triangle,
     scale_vector,
 )
-from .scalars import float_eq
 
 AXIOM_IDS = ("a", "b", "c", "d", "e", "f", "g", "h", "i")
 
@@ -127,13 +125,11 @@ def check_axiom_a(space: Space, samples: int, seed: int) -> AxiomReport:
     return rep
 
 
-def _transport_sample(space: Space, rng: random.Random) -> tuple[Point, Point, Point] | None:
-    """a, b, c with a != c and |ab| / |ac| rational on this backend."""
+def _transport_sample(space: Space, rng: random.Random) -> tuple[Point, Point, Point]:
+    """a, b, c with |ab| / |ac| rational on this backend when a != c."""
     if space.backend == "float" or space.norm.kind != "l2":
-        a, b, c = (rand_point(space, rng) for _ in range(3))
-        return (a, b, c) if not space.points_eq(a, c) else None
-    o, p, q = rational_distance_triangle(rng)[:3]
-    return o, p, q
+        return tuple(rand_point(space, rng) for _ in range(3))
+    return rational_distance_triangle(rng)[:3]
 
 
 def check_axiom_b(space: Space, samples: int, seed: int) -> AxiomReport:
@@ -142,18 +138,11 @@ def check_axiom_b(space: Space, samples: int, seed: int) -> AxiomReport:
     rep = _new_report("b", space, seed)
     for _ in range(samples):
         rep.samples += 1
-        sample = _transport_sample(space, rng)
-        if sample is None:
-            rep.skipped += 1
-            continue
-        a, b, c = sample
+        a, b, c = _transport_sample(space, rng)
         if space.points_eq(a, c):
             rep.skipped += 1
             continue
-        if space.backend == "float":
-            t = space._fdist(a, b) / space._fdist(a, c)
-        else:
-            t = _exact_length_ratio(space, (a, b), (a, c))
+        t = space.length_ratio(a, b, a, c)
         away = p_sub(a, c)
         d = p_add(a, scale_vector(space, away, t))
         ok = oracle_B(space, c, a, d) and space.eq_dist(a, b, a, d)
@@ -229,9 +218,7 @@ def _triangle_sample(space: Space, rng: random.Random):
     a = rand_point(space, rng)
     if space.points_eq(b, c):
         return None
-    if space.backend == "float":
-        return b, a, c, space._fdist(b, a), space._fdist(a, c), space._fdist(b, c)
-    return b, a, c, space._exact_len(b, a), space._exact_len(a, c), space._exact_len(b, c)
+    return b, a, c, space.length_value(b, a), space.length_value(a, c), space.length_value(b, c)
 
 
 def check_axiom_f(space: Space, samples: int, seed: int) -> AxiomReport:
@@ -291,10 +278,8 @@ def check_axiom_g(space: Space, samples: int, seed: int) -> AxiomReport:
         base = rand_point(space, rng)
         direction = equal_length_mate(space, rng, Point(Fraction(1), Fraction(0)))
         apex_base = p_add(base, scale_vector(space, direction, r))
-        radius_p = float(p) if space.backend == "float" else p
-        radius_q = float(q) if space.backend == "float" else q
         try:
-            apex = sphere_intersection_point(space, base, radius_p, apex_base, radius_q)
+            apex = sphere_intersection_point(space, base, p, apex_base, q)
         except NoIntersectionError:
             if lo <= r <= hi:
                 rep.flag(space, "g missing triangle", {"base": base, "other": apex_base})
@@ -302,23 +287,15 @@ def check_axiom_g(space: Space, samples: int, seed: int) -> AxiomReport:
                 rep.not_applicable += 1
             continue
         sides_ok = (
-            _length_equals(space, base, apex_base, r)
-            and _length_equals(space, base, apex, p)
-            and _length_equals(space, apex_base, apex, q)
+            space.length_is(base, apex_base, r)
+            and space.length_is(base, apex, p)
+            and space.length_is(apex_base, apex, q)
         )
         if sides_ok:
             rep.witnesses += 1
         else:
             rep.flag(space, "g side lengths", {"base": base, "other": apex_base, "apex": apex})
     return rep
-
-
-def _length_equals(space: Space, a: Point, b: Point, value: Fraction) -> bool:
-    if space.backend == "float":
-        return float_eq(space._fdist(a, b), float(value), space.tolerance)
-    if space.norm.kind == "l2":
-        return space.sq_dist(a, b) == Fraction(value) ** 2
-    return space._exact_len(a, b) == Fraction(value)
 
 
 def check_axiom_h(

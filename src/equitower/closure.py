@@ -20,7 +20,6 @@ import math
 from fractions import Fraction
 
 from .geometry import (
-    ExactBackendRefusedError,
     GeometryError,
     Point,
     SolverError,
@@ -30,10 +29,10 @@ from .geometry import (
     p_add,
     p_sub,
     sphere_intersection_point,
+    sphere_meets,
 )
 from .oracles import RelationId, oracle_psi
 from .sampling import scale_vector
-from .scalars import is_square, sqrt_exact
 from .universe import (
     DEFAULT_SIZE_CAP,
     TAG_CHAIN,
@@ -106,28 +105,9 @@ def close_for_psi(
     uni = uni.add(pts, TAG_CHAIN)
     if not oracle_psi(space, n, k, a, b, c, d):
         return uni
-    radius_c = _scaled_length(space, n * scale, a, b)
-    radius_d = _scaled_length(space, scale, a, b)
-    e = sphere_intersection_point(space, c, radius_c, d, radius_d)
+    length = space.length_value(a, b)
+    e = sphere_intersection_point(space, c, n * scale * length, d, scale * length)
     return uni.add([e], TAG_SPHERE)
-
-
-def _scaled_length(space: Space, q: Fraction, a: Point, b: Point):
-    """q * d(a,b) as a backend length; refuses irrational exact-l2 lengths."""
-    if space.backend == "float":
-        return float(q) * space._fdist(a, b)
-    if space.norm.kind == "l2":
-        sq = q * q * space.sq_dist(a, b)
-        if not is_square(sq):
-            raise ExactBackendRefusedError(
-                "irrational l2 length; witness construction needs the float backend"
-            )
-        return sqrt_exact(sq)
-    return q * space._exact_len(a, b)
-
-
-def _length(space: Space, a: Point, b: Point):
-    return _scaled_length(space, Fraction(1), a, b)
 
 
 def close_for_delta(
@@ -143,7 +123,7 @@ def close_for_delta(
     if space.points_eq(x, y):
         raise GeometryError("delta closure needs x != y")
     uni = Universe(space, [x, y, z], size_cap=size_cap)
-    step = _length(space, x, y)
+    step = space.length_value(x, y)
     # minimal step count, judged with the same comparisons the oracle uses
     min_steps = next(
         (n for n in range(n_max + 1) if space.le_dist_scaled(x, z, n, x, y)), None
@@ -152,15 +132,9 @@ def close_for_delta(
         raise IncompleteClosureError(
             f"reaching z needs more than {n_max} steps of length d(x,y)"
         )
-    if space.backend == "float":
-        ratio = space._fdist(x, z) / space._fdist(x, y)
-        full = math.floor(ratio)
-        params = [i / ratio for i in range(1, full + 1)] if full else []
-    else:
-        ratio = _exact_length_ratio(space, (x, z), (x, y))
-        full = math.floor(ratio)
-        params = [Fraction(i) / ratio for i in range(1, full + 1)] if full else []
-    walk = [affine_combination(x, z, t) for t in params]
+    ratio = space.length_ratio(x, z, x, y)
+    full = math.floor(ratio)
+    walk = [affine_combination(x, z, i / ratio) for i in range(1, full + 1)]
     for prev, nxt in zip([x] + walk, walk):
         if not space.eq_dist(prev, nxt, x, y):
             raise SolverError("full chain step fails its length constraint")
@@ -176,17 +150,6 @@ def close_for_delta(
     if first is not None:
         apexes.append(sphere_intersection_point(space, x, step, first, step))
     return uni.add(apexes, TAG_SPHERE)
-
-
-def _exact_length_ratio(space: Space, num: tuple[Point, Point], den: tuple[Point, Point]) -> Fraction:
-    a, b = num
-    c, d = den
-    if space.norm.kind == "l2":
-        ratio_sq = Fraction(space.sq_dist(a, b), space.sq_dist(c, d))
-        if not is_square(ratio_sq):
-            raise ExactBackendRefusedError("irrational step ratio on exact l2; use floats")
-        return sqrt_exact(ratio_sq)
-    return Fraction(space._exact_len(a, b), space._exact_len(c, d))
 
 
 def add_refuters(
@@ -208,78 +171,17 @@ def add_refuters(
     if name == "NEQ":
         x, y = points
         if space.points_eq(x, y):
-            one = 1.0 if space.backend == "float" else Fraction(1)
-            far = Point(x.x + one, x.y)
+            far = Point(x.x + 1, x.y)
         else:
             far = affine_combination(x, y, Fraction(chain_max + 1))
         return uni.add([far], TAG_REFUTER)
     raise GeometryError(f"no refuter recipe for {rel.label()}")
 
 
-def _sphere_pair_candidates(space: Space, c: Point, radius_c, d: Point, radius_d) -> list[Point]:
-    """All boundary-boundary meeting points of two norm spheres (box norms),
-    or the two circle branches (l2 float), or one numeric point (lp float).
-
-    For l1/linf every transversal edge crossing pins one coordinate per
-    sphere, and parallel-edge overlaps end at such pins too, so the grid of
-    pinned-coordinate combinations is a complete candidate set; each entry
-    is verified exactly before being returned.
-    """
-    if space.points_eq(c, d):
-        one = 1.0 if space.backend == "float" else Fraction(1)
-        return [Point(c.x + radius_c * one, c.y), Point(c.x - radius_c * one, c.y)]
-    kind = space.norm.kind
-    if kind in ("l1", "linf"):
-        if kind == "l1":
-            tc = Point(c.x + c.y, c.x - c.y)
-            td = Point(d.x + d.y, d.x - d.y)
-        else:
-            tc, td = c, d
-        dx, dy = td.x - tc.x, td.y - tc.y
-        out: list[Point] = []
-        seen: set = set()
-        u_pins = (radius_c, -radius_c, dx + radius_d, dx - radius_d)
-        v_pins = (radius_c, -radius_c, dy + radius_d, dy - radius_d)
-        for u in u_pins:
-            for v in v_pins:
-                if max(abs(u), abs(v)) != radius_c:
-                    continue
-                if max(abs(u - dx), abs(v - dy)) != radius_d:
-                    continue
-                if (u, v) in seen:
-                    continue
-                seen.add((u, v))
-                tz = Point(tc.x + u, tc.y + v)
-                if kind == "l1":
-                    half = 0.5 if space.backend == "float" else Fraction(1, 2)
-                    out.append(Point((tz.x + tz.y) * half, (tz.x - tz.y) * half))
-                else:
-                    out.append(tz)
-        if not out:
-            raise SolverError("no sphere-pair candidates despite annulus precondition")
-        return out
-    if kind == "l2":
-        from .geometry import _l2_float_intersection
-
-        e = _l2_float_intersection(c, radius_c, d, radius_d)
-        foot_scale = 2.0
-        ux, uy = d.x - c.x, d.y - c.y
-        # mirror across the center line for the second branch
-        g_sq = ux * ux + uy * uy
-        t = ((e.x - c.x) * ux + (e.y - c.y) * uy) / g_sq
-        foot = Point(c.x + t * ux, c.y + t * uy)
-        mirror = Point(foot_scale * foot.x - e.x, foot_scale * foot.y - e.y)
-        return [e, mirror]
-    return [sphere_intersection_point(space, c, radius_c, d, radius_d)]
-
-
-def _pick_witness(space: Space, candidates: list[Point], breeding_test) -> Point:
+def _pick_witness(candidates: list[Point], breeding_test) -> Point:
     """The first candidate that cannot create new quantifier obligations;
     falls back to the first candidate (the fixpoint loop handles the rest)."""
-    for z in candidates:
-        if not breeding_test(z):
-            return z
-    return candidates[0]
+    return next((z for z in candidates if not breeding_test(z)), candidates[0])
 
 
 def _equiv2_witness_round(space: Space, uni: Universe, a, b, c, d) -> list[Point]:
@@ -309,8 +211,8 @@ def _equiv2_witness_round(space: Space, uni: Universe, a, b, c, d) -> list[Point
             elif space.eq_dist_scaled(x, y, Fraction(1, 2), c, d):
                 fresh.append(midpoint(c, d))
             else:
-                radius = _length(space, x, y)
-                candidates = _sphere_pair_candidates(space, c, radius, d, radius)
+                radius = space.length_value(x, y)
+                candidates = sphere_meets(space, c, radius, d, radius)
                 antecedent_xs = [p for p in uni.points if space.eq_dist(p, a, p, b)]
 
                 def breeds(z: Point) -> bool:
@@ -318,7 +220,7 @@ def _equiv2_witness_round(space: Space, uni: Universe, a, b, c, d) -> list[Point
                         return True  # would become an antecedent x itself
                     return any(space.eq_dist(z, a, z, p) for p in antecedent_xs)
 
-                fresh.append(_pick_witness(space, candidates, breeds))
+                fresh.append(_pick_witness(candidates, breeds))
     return fresh
 
 
@@ -343,11 +245,11 @@ def _le_witness_round(space: Space, uni: Universe, a, b, c, d) -> list[Point]:
         elif space.eq_dist_scaled(a, b, 2, c, m):
             fresh.append(p_add(c, scale_vector(space, p_sub(m, c), 2)))
         else:
-            candidates = _sphere_pair_candidates(
-                space, c, _length(space, a, b), m, _length(space, c, m)
+            candidates = sphere_meets(
+                space, c, space.length_value(a, b), m, space.length_value(c, m)
             )
             fresh.append(
-                _pick_witness(space, candidates, lambda z: space.eq_dist(z, c, z, d))
+                _pick_witness(candidates, lambda z: space.eq_dist(z, c, z, d))
             )
     return fresh
 
@@ -438,7 +340,7 @@ def closure_for_relation(
             return uni
         extras = [midpoint(end_a, end_b)]
         if space.norm.kind in ("l1", "linf") or space.backend == "float":
-            half = _scaled_length(space, Fraction(1, 2), end_a, end_b)
+            half = Fraction(1, 2) * space.length_value(end_a, end_b)
             extras.append(sphere_intersection_point(space, end_a, half, end_b, half))
         return uni.add(extras, TAG_MIDPOINT)
     if name == "COLLINEAR":

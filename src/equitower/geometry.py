@@ -8,23 +8,32 @@ equality) exist for oracles, witness construction, and axiom checking.
 Every ``Space`` holds one comparison kernel chosen by its norm and backend
 (:mod:`equitower.kernel`): exact l1, exact linf, exact l2, or float.  An
 exact kernel reads each coordinate's numerator and denominator once and
-never builds a ``Fraction``: a length is an integer pair ``(num, den)``
-(the l1 or linf length, or the squared l2 length), two lengths compare by
-cross-multiplication (``n1*d2 == n2*d1``), and a rational scale ``qn/qd``
-enters the same way, squared on l2.  The float kernel compares doubles
-under the space's tolerance.  The length values (``sq_dist``,
-``_exact_len``, ``distance``) stay Fractions for constructions.
+compares without building a ``Fraction``: a length is an integer pair
+``(num, den)`` (the l1 or linf length, or the squared l2 length), two
+lengths compare by cross-multiplication (``n1*d2 == n2*d1``), and a
+rational scale ``qn/qd`` enters the same way, squared on l2.  The float
+kernel compares doubles under the space's tolerance.  The kernel also
+gives the length values that constructions need (``length_value``,
+``length_ratio``, ``length_is``).
+
+Where two spheres meet is decided in one place.  For l1 and linf, on both
+backends, :func:`sphere_meets` clears centres and radii to integers and
+reads the meeting points off a 4x4 grid of pinned coordinates;
+:func:`sphere_intersection_point` returns one of them in a fixed edge
+order.  Float l2 has a closed formula and float lp a numeric solve; exact
+l2 constructions are refused, since their points are irrational in general.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .kernel import ExactKernel, FloatKernel, kernel_for
-from .scalars import Rad, float_eq, format_exact, parse_exact
+from .scalars import Rad, format_exact, parse_exact
 
 Scalar = Union[Fraction, float]
 
@@ -73,10 +82,6 @@ def p_scale(a: Point, t: Scalar) -> Point:
 
 def cross(u: Point, v: Point) -> Scalar:
     return u.x * v.y - u.y * v.x
-
-
-def dot(u: Point, v: Point) -> Scalar:
-    return u.x * v.x + u.y * v.y
 
 
 def affine_combination(a: Point, b: Point, t: Scalar) -> Point:
@@ -192,22 +197,30 @@ class Space:
         return self.kernel.points_eq(a, b)
 
     # ------------------------------------------------------------------
-    # lengths (values, for constructions; comparisons go through the kernel)
+    # length values, for constructions
     # ------------------------------------------------------------------
 
     def sq_dist(self, a: Point, b: Point) -> Fraction:
         dx, dy = a.x - b.x, a.y - b.y
         return dx * dx + dy * dy
 
-    def _exact_len(self, a: Point, b: Point) -> Fraction:
-        dx, dy = abs(a.x - b.x), abs(a.y - b.y)
-        if self.norm.kind == "l1":
-            return dx + dy
-        return max(dx, dy)
+    def length_value(self, a: Point, b: Point):
+        """d(a,b): a Fraction (refused when irrational) or, on floats, a double."""
+        value = self.kernel.length_value(a, b)
+        if value is None:
+            raise ExactBackendRefusedError("irrational l2 length; witness construction needs the float backend")
+        return value
 
-    def _fdist(self, a: Point, b: Point) -> float:
-        """The float length; float backend only."""
-        return self.kernel.dist(a, b)
+    def length_ratio(self, a: Point, b: Point, c: Point, d: Point):
+        """d(a,b) / d(c,d), as ``length_value`` gives lengths."""
+        value = self.kernel.length_ratio(a, b, c, d)
+        if value is None:
+            raise ExactBackendRefusedError("irrational length ratio on exact l2; use floats")
+        return value
+
+    def length_is(self, a: Point, b: Point, value) -> bool:
+        """d(a,b) = value, for a rational value (a double on floats)."""
+        return self.kernel.length_is(a, b, value)
 
     def p_value(self) -> Fraction:
         assert self.norm.kind == "lp" and self.norm.p is not None
@@ -222,11 +235,9 @@ class Space:
         """
         self.check_point(a)
         self.check_point(b)
-        if self.backend == FLOAT:
-            return self._fdist(a, b)
-        if self.norm.kind == "l2":
+        if self.backend == EXACT and self.norm.kind == "l2":
             return Rad.sqrt(self.sq_dist(a, b))
-        return self._exact_len(a, b)
+        return self.length_value(a, b)
 
     # ------------------------------------------------------------------
     # exact/tolerant comparisons used by every oracle
@@ -323,63 +334,58 @@ def _as_length(space: Space, value) -> Scalar:
     return v
 
 
-def _ball_vertices(kind: str, center: Point, radius) -> list[Point]:
-    x, y = center
+def _edge_spots(u: int, v: int, radius: int) -> list[tuple[int, int]]:
+    """(edge, position along it) for each edge through (u, v) of the square
+    max(|u|, |v|) = radius, edges numbered counterclockwise from the corner
+    (radius, radius)."""
+    sides = ((v == radius, -u), (u == -radius, -v), (v == -radius, u), (u == radius, v))
+    return [(k, at) for k, (on, at) in enumerate(sides) if on]
+
+
+def _box_meets(space: Space, c: Point, radius_c, d: Point, radius_d) -> list[tuple[tuple, Point]]:
+    """(edge key, point) for every point where two l1 or linf spheres meet.
+
+    Centres and radii are cleared to one integer denominator and l1 is
+    rotated into the square frame, where both balls are axis-parallel
+    squares.  Every crossing of two square edges, and every end of an
+    overlap of two parallel edges, pins one coordinate to a side of each
+    square, so the 4x4 grid of pinned coordinates holds all of them; the
+    grid points on both squares are returned in pin order, empty when the
+    spheres do not meet.  The key orders them by edge of c's ball, then by
+    edge of d's ball, then by position along c's edge.  Float inputs are
+    exact rationals too, but rounded: their tolerant annulus may miss the
+    exact one, so the second radius is clamped into [|R - g|, R + g] first.
+    """
+    args = (c.x, c.y, d.x, d.y, radius_c, radius_d)
+    ratios = [q.as_integer_ratio() for q in args]
+    den = math.lcm(*(qd for _, qd in ratios))
+    cx, cy, dx, dy, big, small = (qn * (den // qd) for qn, qd in ratios)
+    kind = space.norm.kind
     if kind == "l1":
-        return [Point(x + radius, y), Point(x, y + radius), Point(x - radius, y), Point(x, y - radius)]
-    return [
-        Point(x + radius, y + radius),
-        Point(x - radius, y + radius),
-        Point(x - radius, y - radius),
-        Point(x + radius, y - radius),
-    ]
-
-
-def _segment_intersection(p1: Point, p2: Point, q1: Point, q2: Point) -> Point | None:
-    u = p_sub(p2, p1)
-    w = p_sub(q2, q1)
-    denom = cross(u, w)
-    offset = p_sub(q1, p1)
-    if denom != 0:
-        t = Fraction(cross(offset, w), denom)
-        s = Fraction(cross(offset, u), denom)
-        if 0 <= t <= 1 and 0 <= s <= 1:
-            return affine_combination(p1, p2, t)
-        return None
-    if cross(offset, u) != 0:
-        return None
-    # collinear overlap: clamp the q-segment's parameter range into [0, 1]
-    uu = dot(u, u)
-    if uu == 0:
-        return None
-    t1 = Fraction(dot(offset, u), uu)
-    t2 = Fraction(dot(p_sub(q2, p1), u), uu)
-    lo = max(Fraction(0), min(t1, t2))
-    hi = min(Fraction(1), max(t1, t2))
-    if lo > hi:
-        return None
-    return affine_combination(p1, p2, lo)
-
-
-def _polygonal_sphere_intersection(space: Space, c: Point, radius_c: Fraction, d: Point, radius_d: Fraction) -> Point:
-    """Exact boundary walk for l1 diamonds and linf squares."""
-    if radius_c == 0:
-        return c
-    if radius_d == 0:
-        return d
-    if c == d:
-        # annulus forces equal radii; pick the +x boundary point
-        if space.norm.kind == "l1":
-            return Point(c.x + radius_c, c.y)
-        return Point(c.x + radius_c, c.y + radius_c)
-    vc = _ball_vertices(space.norm.kind, c, radius_c)
-    vd = _ball_vertices(space.norm.kind, d, radius_d)
-    for i in range(4):
-        for j in range(4):
-            hit = _segment_intersection(vc[i], vc[(i + 1) % 4], vd[j], vd[(j + 1) % 4])
-            if hit is not None:
-                return hit
-    raise SolverError("boundary walk found no intersection despite annulus precondition")
+        cx, cy, dx, dy = cx + cy, cx - cy, dx + dy, dx - dy
+    gx, gy = dx - cx, dy - cy
+    if space.backend == FLOAT:
+        gap = max(abs(gx), abs(gy))
+        small = min(max(small, abs(big - gap)), big + gap)
+    scalar = Fraction if space.backend == EXACT else operator.truediv
+    out: list[tuple[tuple, Point]] = []
+    seen: set = set()
+    for u in (big, -big, gx + small, gx - small):
+        for v in (big, -big, gy + small, gy - small):
+            if max(abs(u), abs(v)) != big or max(abs(u - gx), abs(v - gy)) != small or (u, v) in seen:
+                continue
+            seen.add((u, v))
+            # the edges are numbered in linf's frame; l1's frame has its axes swapped
+            spot_c, spot_d = ((v, u), (v - gy, u - gx)) if kind == "l1" else ((u, v), (u - gx, v - gy))
+            key = min(
+                (kc, kd, at) for kc, at in _edge_spots(*spot_c, big) for kd, _ in _edge_spots(*spot_d, small)
+            )
+            x, y = cx + u, cy + v
+            if kind == "l1":
+                out.append((key, Point(scalar(x + y, 2 * den), scalar(x - y, 2 * den))))
+            else:
+                out.append((key, Point(scalar(x, den), scalar(y, den))))
+    return out
 
 
 def _l2_float_intersection(c: Point, radius_c: float, d: Point, radius_d: float) -> Point:
@@ -405,7 +411,7 @@ def _lp_float_intersection(space: Space, c: Point, radius_c: float, d: Point, ra
         return c
 
     def residual(theta: float) -> float:
-        return space._fdist(d, on_ball(theta)) - radius_d
+        return space.length_value(d, on_ball(theta)) - radius_d
 
     grid = 512
     thetas = [2.0 * math.pi * i / grid for i in range(grid + 1)]
@@ -436,8 +442,11 @@ def sphere_intersection_point(space: Space, c: Point, radius_c, d: Point, radius
 
     Precondition (checked): ``|R - r| <= d(c,d) <= R + r``, which in a
     two-dimensional normed plane is exactly when such a point exists.
-    Exact backend: supported for l1/linf (boundary edge walk over rational
-    segments); refused for l2, where the result is irrational in general.
+    l1/linf, on both backends: the first meeting point of the integer pin
+    grid (see :func:`sphere_meets`) by edge of c's ball, then edge of d's
+    ball, then position along c's edge.
+    Float l2: the circle-circle formula; float lp: a numeric solve.  Exact
+    l2 is refused, since the result is irrational in general.
     """
     space.check_point(c)
     space.check_point(d)
@@ -447,36 +456,45 @@ def sphere_intersection_point(space: Space, c: Point, radius_c, d: Point, radius
         raise NoIntersectionError(
             f"spheres ({c}, r={rc}) and ({d}, r={rd}) do not meet in {space.label()}"
         )
-    if space.backend == EXACT:
-        if space.norm.kind == "l2":
-            raise ExactBackendRefusedError(
-                "exact l2 sphere intersection is irrational in general; use the float backend"
-            )
-        e = _polygonal_sphere_intersection(space, c, rc, d, rd)
-    elif space.norm.kind in ("l1", "linf"):
-        helper = Space(space.norm, EXACT, 0.0)
-        e_exact = _polygonal_sphere_intersection(
-            helper,
-            Point(Fraction(c.x), Fraction(c.y)),
-            Fraction(rc),
-            Point(Fraction(d.x), Fraction(d.y)),
-            Fraction(rd),
+    kind = space.norm.kind
+    if kind in ("l1", "linf"):
+        e = min(_box_meets(space, c, rc, d, rd))[1]
+    elif space.backend == EXACT:
+        raise ExactBackendRefusedError(
+            "exact l2 sphere intersection is irrational in general; use the float backend"
         )
-        e = Point(float(e_exact.x), float(e_exact.y))
-    elif space.norm.kind == "l2":
+    elif kind == "l2":
         e = _l2_float_intersection(c, rc, d, rd)
     else:
         e = _lp_float_intersection(space, c, rc, d, rd)
-
-    if space.backend == EXACT:
-        ok = space._exact_len(c, e) == rc and space._exact_len(d, e) == rd
-    else:
-        ok = float_eq(space._fdist(c, e), rc, space.tolerance) and float_eq(
-            space._fdist(d, e), rd, space.tolerance
-        )
-    if not ok:
+    if not (space.length_is(c, e, rc) and space.length_is(d, e, rd)):
         raise SolverError(f"constructed intersection fails its distance constraints in {space.label()}")
     return e
+
+
+def sphere_meets(space: Space, c: Point, radius_c, d: Point, radius_d) -> list[Point]:
+    """Meeting points of the spheres S(c, radius_c) and S(d, radius_d).
+
+    The caller has checked that the spheres meet.  l1/linf: every point of
+    the integer pin grid on both spheres, in pin order (on exact planes,
+    none when the spheres do not meet).  Float l2: the circle-circle point
+    and its mirror image across the line cd.  lp: the one point of
+    :func:`sphere_intersection_point`.
+    """
+    kind = space.norm.kind
+    if kind in ("l1", "linf"):
+        return [e for _, e in _box_meets(space, c, radius_c, d, radius_d)]
+    if kind == "l2":
+        e = _l2_float_intersection(c, radius_c, d, radius_d)
+        foot_scale = 2.0
+        ux, uy = d.x - c.x, d.y - c.y
+        # mirror across the center line for the second branch
+        g_sq = ux * ux + uy * uy
+        t = ((e.x - c.x) * ux + (e.y - c.y) * uy) / g_sq
+        foot = Point(c.x + t * ux, c.y + t * uy)
+        mirror = Point(foot_scale * foot.x - e.x, foot_scale * foot.y - e.y)
+        return [e, mirror]
+    return [sphere_intersection_point(space, c, radius_c, d, radius_d)]
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,12 @@ l2 lengths are decided by squaring out the radicals: on integers for
 ``path_defect_at_most``.  The float kernel compares doubles with
 ``float_eq``/``float_le`` under the space's tolerance.
 
+Kernels also own the length *values* that constructions need: the length
+d(a,b), the ratio d(a,b)/d(c,d), and the test d(a,b) = r.  Exact kernels
+give ``Fraction``s (an exact l2 length or ratio is the rational root of
+the squared one, or ``None`` when that root is irrational) and test
+d(a,b) = r on integers, squared on l2; the float kernel gives doubles.
+
 Points are only read through ``.x``/``.y``; exact coordinates may be
 ``Fraction`` or ``int``.
 """
@@ -29,6 +35,12 @@ from .scalars import Rad, ceil_sqrt, cmp_radical_sums, float_eq, float_le
 
 if TYPE_CHECKING:
     from .geometry import NormSpec, Point
+
+
+def _rational_root(n: int, d: int) -> Fraction | None:
+    """sqrt(n/d) for integers n >= 0, d > 0, or None when it is irrational."""
+    root = math.isqrt(n * d)
+    return Fraction(root, d) if root * root == n * d else None
 
 
 def _gaps(a: Point, b: Point) -> tuple[int, int, int, int]:
@@ -94,6 +106,26 @@ class ExactKernel:
         if self.squared:
             return ceil_sqrt(factor * factor * n1 * d2, d1 * n2)
         return -(-factor * n1 * d2 // (d1 * n2))
+
+    def length_value(self, a: Point, b: Point) -> Fraction | None:
+        """d(a,b), or None when it is irrational."""
+        n, d = self.length(a, b)
+        return _rational_root(n, d) if self.squared else Fraction(n, d)
+
+    def length_ratio(self, a: Point, b: Point, c: Point, d: Point) -> Fraction | None:
+        """d(a,b) / d(c,d), or None when it is irrational."""
+        n1, d1 = self.length(a, b)
+        n2, d2 = self.length(c, d)
+        n, d = n1 * d2, d1 * n2
+        return _rational_root(n, d) if self.squared else Fraction(n, d)
+
+    def length_is(self, a: Point, b: Point, value) -> bool:
+        """d(a,b) = value for a rational value."""
+        n, d = self.length(a, b)
+        vn, vd = value.as_integer_ratio()
+        if self.squared:
+            vn, vd = vn * vn, vd * vd
+        return n * vd == vn * d
 
     def annulus_ok(self, c: Point, radius_c, d: Point, radius_d) -> bool:
         """|R - r| <= d(c,d) <= R + r, over the radii's common denominator."""
@@ -199,6 +231,15 @@ class FloatKernel:
 
     def points_eq(self, a: Point, b: Point) -> bool:
         return float_eq(self.dist(a, b), 0.0, self.tol)
+
+    def length_value(self, a: Point, b: Point) -> float:
+        return self.dist(a, b)
+
+    def length_ratio(self, a: Point, b: Point, c: Point, d: Point) -> float:
+        return self.dist(a, b) / self.dist(c, d)
+
+    def length_is(self, a: Point, b: Point, value) -> bool:
+        return float_eq(self.dist(a, b), float(value), self.tol)
 
     def eq_dist(self, a: Point, b: Point, c: Point, d: Point) -> bool:
         return float_eq(self.dist(a, b), self.dist(c, d), self.tol)

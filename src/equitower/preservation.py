@@ -287,7 +287,7 @@ def _draw_triples(space: Space, rng: random.Random, n: int) -> _Samples:
         a = rand_point(space, rng)
         c = rand_point(space, rng)
         t = rng.choice((Fraction(0), Fraction(1), rand_unit_fraction(rng)))
-        b = affine_combination(a, c, t)
+        b = affine_combination(a, c, t if space.backend == EXACT else float(t))
         drawn.points.append((a, b, c))
         if space.backend == EXACT:
             ax, ay, bx, by, cx, cy = _cleared(a, b, c)

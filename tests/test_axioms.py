@@ -40,7 +40,7 @@ class TestSpecificConstructions:
         # |ab| = 2 transported from a away from c lands at (-2, 0)
         space = Space(L2, "float", 1e-9)
         a, b, c = Point(0.0, 0.0), Point(0.0, 2.0), Point(1.0, 0.0)
-        t = space._fdist(a, b) / space._fdist(a, c)
+        t = space.length_value(a, b) / space.length_value(a, c)
         d = Point(a.x + t * (a.x - c.x), a.y + t * (a.y - c.y))
         assert d == pytest.approx((-2.0, 0.0))
         assert oracle_B(space, c, a, d)

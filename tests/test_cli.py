@@ -149,6 +149,50 @@ def test_vogt_report_bytes_are_pinned(tmp_path, norm, backend):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_VOGT_SHA256[norm, backend]
 
 
+# SHA-256 of the seeded reports of the layers and the axiom that build
+# l1/linf sphere meets: `verify-layer --seed 5 --samples 40` and
+# `check-axioms --axiom g --seed 5 --constructions 400` on the exact backend.
+GOLDEN_WITNESS_SHA256 = {
+    ("EQUIV2", "l1"): "b8c7f972267a026dcf03eccb88c75ccc21bedcf20d77d73a24d7716e0c1978d0",
+    ("EQUIV2", "linf"): "08c4661a532aeda0ae12ff902f3c602821553fb50949ea9bdd429395970c62b5",
+    ("LE", "l1"): "c8929bbb163c7932c201e913cf10f75ee27bc08601a952325117db083b8cb6f0",
+    ("LE", "linf"): "13725d003f6a46c40c7d775c30697a47f445d8358c8963f0808720ed98bd75b6",
+    ("PSI:2:1", "l1"): "c4bf1caeef067d98bc915df4fcee40b167c74720862ceb9c242cf22911a883d2",
+    ("PSI:2:1", "linf"): "1460491a004b6fc574ff387235b69a9b56a686554c838804af618ba7867786e4",
+    ("DELTA:3", "l1"): "e51b4dc647d511b4512705d0a5e1fc552b7a89f3eb0b6b5b08acdc8280f83a2e",
+    ("DELTA:3", "linf"): "30df39e09472cfbc1e86ef371b8195bbbf1600d63eb789a45bcc0e8485498083",
+    ("g", "l1"): "3efd637bbdfa4a756875fcd558c94e1f4ea67ea5529c5315ff7be8dee70dff9f",
+    ("g", "linf"): "306763f21f71e899d3fb464a7a1510bc4073fd97dc6cd973ec29cdbf8799c126",
+}
+
+
+@pytest.mark.parametrize("target,norm", sorted(GOLDEN_WITNESS_SHA256))
+def test_witness_report_bytes_are_pinned(tmp_path, target, norm):
+    out = tmp_path / "report.json"
+    if target == "g":
+        argv = ["check-axioms", "--axiom", "g", "--constructions", "400"]
+    else:
+        argv = ["verify-layer", "--relation", target, "--samples", "40"]
+    assert main(argv + ["--seed", "5", "--norm", norm, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_WITNESS_SHA256[target, norm]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-layer", "--relation", "DELTA:3", "--norm", "linf", "--samples", "60"],
+        ["verify-layer", "--relation", "PSI:2:1", "--norm", "l1", "--samples", "60"],
+        ["check-axioms", "--norm", "l1"],
+    ],
+    ids=["delta-linf", "psi-l1", "axioms-l1"],
+)
+def test_float_box_norm_constructions_pass(tmp_path, argv):
+    # rounded float inputs may pass the tolerant annulus test yet miss the
+    # exact annulus; the construction must still find the meeting point
+    out = tmp_path / "report.json"
+    assert main(argv + ["--backend", "float", "--seed", "1", "--output", str(out)]) == 0
+
+
 class TestHelp:
     def test_every_flag_documents_its_default(self):
         parser = build_parser()

@@ -87,8 +87,8 @@ class TestPsiClosure:
         sphere_points = [p for p, t in zip(uni.points, uni.tags) if t == TAG_SPHERE]
         assert len(sphere_points) == 1
         e = sphere_points[0]
-        assert abs(space._fdist(c, e) - 1.0) <= 1e-9
-        assert abs(space._fdist(d, e) - 0.5) <= 1e-9
+        assert abs(space.length_value(c, e) - 1.0) <= 1e-9
+        assert abs(space.length_value(d, e) - 0.5) <= 1e-9
 
     def test_false_instance_gets_scaffolding_only(self):
         uni = close_for_psi(S1, pt(0, 0), pt(1, 0), pt(0, 0), pt(10, 0), 2, 1)
@@ -99,8 +99,8 @@ class TestPsiClosure:
         sphere_points = [p for p, t in zip(uni.points, uni.tags) if t == TAG_SPHERE]
         assert len(sphere_points) == 1
         e = sphere_points[0]
-        assert S1._exact_len(pt(0, 0), e) == 2
-        assert S1._exact_len(pt(0, 1), e) == 1
+        assert S1.length_value(pt(0, 0), e) == 2
+        assert S1.length_value(pt(0, 1), e) == 1
 
     def test_exact_euclidean_refused_when_irrational(self):
         with pytest.raises(ExactBackendRefusedError):
@@ -118,7 +118,7 @@ class TestDeltaClosure:
         assert apexes, "detour apex expected"
         # the full-steps-then-detour route has length 4
         walk = [pt(0, 0), pt(1, 0), pt(2, 0)]
-        last_leg = [p for p in apexes if S1._exact_len(pt(2, 0), p) == 1 and S1._exact_len(p, pt("5/2", 0)) == 1]
+        last_leg = [p for p in apexes if S1.length_value(pt(2, 0), p) == 1 and S1.length_value(p, pt("5/2", 0)) == 1]
         assert last_leg, "two equal steps must close the remaining gap"
 
     def test_degenerate_step_rejected(self):

@@ -24,14 +24,45 @@ from equitower import (
     space_to_config,
     sphere_intersection_point,
 )
-from equitower.geometry import point_from_record, point_to_record
+from equitower.geometry import point_from_record, point_to_record, sphere_meets
 from equitower.sampling import rand_point
+from box_walk import box_length, walk_meet
 
 F = Fraction
 
 
 def pt(x, y):
     return Point(F(x), F(y))
+
+
+def box_meet_configs(space, count):
+    """Seeded (c, R, d, r) for two l1 or linf spheres, in six flavours:
+    inside the annulus, tangent, c = d, a zero radius, small integer
+    coordinates (where parallel edges overlap), and radii around the
+    annulus, some outside it."""
+    rng = random.Random(f"box-meets:{space.norm.kind}")
+    for i in range(count):
+        flavor = i % 6
+        if flavor == 4:
+            c, d = (Point(F(rng.randint(-3, 3)), F(rng.randint(-3, 3))) for _ in range(2))
+            yield c, F(rng.randint(0, 5), rng.choice((1, 2))), d, F(rng.randint(0, 5), rng.choice((1, 2)))
+            continue
+        c = rand_point(space, rng)
+        d = c if flavor == 2 else rand_point(space, rng)
+        g = space.length_value(c, d)
+        radius_c = (g or 1) * F(rng.randint(1, 8), 4)
+        lo, hi = abs(radius_c - g), radius_c + g
+        if flavor == 0:
+            radius_d = lo + (hi - lo) * F(rng.randint(0, 16), 16)
+        elif flavor == 1:
+            radius_d = rng.choice((lo, hi))
+        elif flavor == 2:
+            radius_d = radius_c
+        elif flavor == 3:
+            radius_c, radius_d = rng.choice(((F(0), g), (g, F(0))))
+        else:
+            radius_d = max(F(0), lo + (hi - lo) * F(rng.randint(-2, 18), 16))
+        yield c, radius_c, d, radius_d
 
 
 EXACT_SPACES = [Space(L1, "exact"), Space(L2, "exact"), Space(LINF, "exact")]
@@ -78,7 +109,7 @@ class TestDistance:
             if space.norm.kind == "l2":
                 assert space.sq_dist(la, lb) == lam * lam * space.sq_dist(a, b)
             else:
-                assert space._exact_len(la, lb) == abs(lam) * space._exact_len(a, b)
+                assert space.length_value(la, lb) == abs(lam) * space.length_value(a, b)
 
     def test_zero_distance_implies_equality_exact(self):
         space = Space(L2, "exact")
@@ -134,8 +165,8 @@ class TestSphereIntersection:
     def test_taxicab_diamonds_meet_exactly(self):
         space = Space(L1, "exact")
         e = sphere_intersection_point(space, pt(0, 0), F(2), pt(2, 0), F(2))
-        assert space._exact_len(pt(0, 0), e) == 2
-        assert space._exact_len(pt(2, 0), e) == 2
+        assert space.length_value(pt(0, 0), e) == 2
+        assert space.length_value(pt(2, 0), e) == 2
 
     def test_disjoint_spheres_refused(self):
         with pytest.raises(NoIntersectionError):
@@ -147,39 +178,41 @@ class TestSphereIntersection:
 
     @pytest.mark.parametrize("kind", ["l1", "linf"])
     def test_polygonal_walk_random_configurations(self, kind):
+        """The pin grid agrees with the boundary walk of ``box_walk``: the
+        same point, and every candidate on both spheres."""
         space = Space(NormSpec(kind), "exact")
-        rng = random.Random(11)
-        hits = 0
-        for _ in range(300):
-            c, d = rand_point(space, rng), rand_point(space, rng)
-            g = space._exact_len(c, d)
-            if g == 0:
+        met = 0
+        for c, radius_c, d, radius_d in box_meet_configs(space, 2400):
+            want = walk_meet(kind, c, radius_c, d, radius_d)
+            meets = sphere_meets(space, c, radius_c, d, radius_d)
+            for e in meets:
+                assert box_length(kind, c, e) == radius_c and box_length(kind, d, e) == radius_d
+            try:
+                got = sphere_intersection_point(space, c, radius_c, d, radius_d)
+            except NoIntersectionError:
+                assert meets == []
                 continue
-            radius_c = g * F(rng.randint(1, 8), 8)
-            radius_d_lo = abs(radius_c - g)
-            radius_d = radius_d_lo + (radius_c + g - radius_d_lo) * F(rng.randint(0, 8), 8)
-            e = sphere_intersection_point(space, c, radius_c, d, radius_d)
-            assert space._exact_len(c, e) == radius_c
-            assert space._exact_len(d, e) == radius_d
-            hits += 1
-        assert hits > 250
+            assert got == want and type(got.x) is type(want.x)
+            assert want in meets or 0 in (radius_c, radius_d)
+            met += 1
+        assert met > 2000
 
     def test_float_box_norms_reuse_exact_walk(self):
         space = Space(LINF, "float", 1e-9)
         e = sphere_intersection_point(space, Point(0.0, 0.0), 1.0, Point(1.5, 0.25), 1.0)
-        assert abs(space._fdist(Point(0.0, 0.0), e) - 1.0) < 1e-9
-        assert abs(space._fdist(Point(1.5, 0.25), e) - 1.0) < 1e-9
+        assert abs(space.length_value(Point(0.0, 0.0), e) - 1.0) < 1e-9
+        assert abs(space.length_value(Point(1.5, 0.25), e) - 1.0) < 1e-9
 
     def test_lp_numeric_solve(self):
         space = Space(lp("3/2"), "float", 1e-9)
         e = sphere_intersection_point(space, Point(0.0, 0.0), 2.0, Point(1.0, 0.5), 1.5)
-        assert abs(space._fdist(Point(0.0, 0.0), e) - 2.0) < 1e-8
-        assert abs(space._fdist(Point(1.0, 0.5), e) - 1.5) < 1e-8
+        assert abs(space.length_value(Point(0.0, 0.0), e) - 2.0) < 1e-8
+        assert abs(space.length_value(Point(1.0, 0.5), e) - 1.5) < 1e-8
 
     def test_equal_centers_need_equal_radii(self):
         space = Space(L1, "exact")
         e = sphere_intersection_point(space, pt(1, 1), F(3), pt(1, 1), F(3))
-        assert space._exact_len(pt(1, 1), e) == 3
+        assert space.length_value(pt(1, 1), e) == 3
         with pytest.raises(NoIntersectionError):
             sphere_intersection_point(space, pt(1, 1), F(3), pt(1, 1), F(2))
 

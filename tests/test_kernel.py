@@ -105,6 +105,15 @@ def ref_annulus(kind, c, radius_c, d, radius_d):
     return lo <= g <= hi
 
 
+def ref_root(kind, value):
+    """A length from ``ref_len``'s value: the rational root on l2 (None
+    when it is irrational), the value itself otherwise."""
+    if kind != "l2":
+        return value
+    n, d = math.isqrt(value.numerator), math.isqrt(value.denominator)
+    return F(n, d) if n * n == value.numerator and d * d == value.denominator else None
+
+
 def ref_points_eq(p, q):
     return F(p.x) == F(q.x) and F(p.y) == F(q.y)
 
@@ -258,6 +267,34 @@ def test_sphere_precondition_is_the_annulus(kind):
         assert got == want
         meets += want
     assert 0 < meets < POOL
+
+
+@pytest.mark.parametrize("kind", NORMS)
+def test_length_values(kind):
+    space = exact_space(kind)
+    rational = irrational = 0
+    pythagorean = [(Point(1, F(1, 2)), Point(4, F(9, 2)), Point(0, 0), Point(F(5, 3), 4))]
+    for a, b, c, d in quad_pool(space, 9) + pythagorean:
+        ab = ref_root(kind, ref_len(kind, a, b))
+        if ab is None:
+            irrational += 1
+            with pytest.raises(ExactBackendRefusedError):
+                space.length_value(a, b)
+            assert not space.length_is(a, b, F(math.isqrt(math.floor(ref_len(kind, a, b)))))
+        else:
+            rational += 1
+            assert space.length_value(a, b) == ab
+            assert space.length_is(a, b, ab) and space.length_is(a, b, int(ab)) == (ab == int(ab))
+            assert not space.length_is(a, b, ab + F(1, 10**9 + 7))
+        if ref_len(kind, c, d) == 0:
+            continue
+        ratio = ref_root(kind, ref_len(kind, a, b) / ref_len(kind, c, d))
+        if ratio is None:
+            with pytest.raises(ExactBackendRefusedError):
+                space.length_ratio(a, b, c, d)
+        else:
+            assert space.length_ratio(a, b, c, d) == ratio
+    assert rational > 10 and (irrational > POOL // 2 if kind == "l2" else irrational == 0)
 
 
 def test_kernel_is_not_part_of_space_identity():

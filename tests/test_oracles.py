@@ -181,15 +181,15 @@ class TestOracleInvariants:
             q = F(rng.randint(0, 3 * 2**k), 2**k)
             mate = scale_vector(space, equal_length_mate(space, rng, v), q)
             d = Point(c.x + mate.x, c.y + mate.y)
-            u = space._exact_len(a, b)
+            u = space.length_value(a, b)
             radius_c = F(n, 2**k) * u
             radius_d = F(1, 2**k) * u
             says = oracle_psi(space, n, k, a, b, c, d)
             try:
                 e = sphere_intersection_point(space, c, radius_c, d, radius_d)
                 built = True
-                assert space._exact_len(c, e) == radius_c
-                assert space._exact_len(d, e) == radius_d
+                assert space.length_value(c, e) == radius_c
+                assert space.length_value(d, e) == radius_d
             except NoIntersectionError:
                 built = False
             if space.points_eq(a, b) or space.points_eq(c, d):
