@@ -53,9 +53,6 @@ from .sampling import (
     scale_vector,
 )
 
-AXIOM_IDS = ("a", "b", "c", "d", "e", "f", "g", "h", "i")
-
-
 @dataclass
 class AxiomReport:
     axiom: str
@@ -331,6 +328,8 @@ def check_axiom_h(
 def check_axiom_i(space: Space, samples: int, seed: int, chain_cap: int = 12) -> AxiomReport:
     """Repeatedly laying off a segment along its ray passes every target on
     the ray, with parallelogram rungs transporting the step."""
+    if chain_cap < 2:
+        raise ValueError(f"the chain cap must be at least 2, got {chain_cap}")
     rng = random.Random(seed)
     rep = _new_report("i", space, seed)
     found_ns: list[int] = []
@@ -386,16 +385,17 @@ CHECKERS: dict[str, Callable] = {
 }
 
 
-def run_axiom_suite(space: Space, samples: int, seed: int, constructions: int = 1000) -> list[AxiomReport]:
+def run_axiom_suite(
+    space: Space, samples: int, seed: int, constructions: int = 1000, chain_cap: int = 12
+) -> list[AxiomReport]:
     """All axiom checks: ``samples`` universal instantiations, ``constructions``
     existential ones."""
-    reports = [
+    return [
         check_axiom_a(space, samples, seed),
         check_axiom_b(space, constructions, seed + 1),
         check_axiom_c_d_e(space, samples, seed + 2),
         check_axiom_f(space, samples, seed + 3),
         check_axiom_g(space, constructions, seed + 4),
         check_axiom_h(space, samples, seed + 5, schnabel_samples=min(200, samples)),
-        check_axiom_i(space, constructions, seed + 6),
+        check_axiom_i(space, constructions, seed + 6, chain_cap=chain_cap),
     ]
-    return reports

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .axioms import CHECKERS, check_axiom_h, check_axiom_i, run_axiom_suite
-from .closure import IncompleteClosureError, closure_for_relation
+from .closure import IncompleteClosureError, close_midpoints, closure_for_relation
 from .formulas.ast import SchemaRef, format_formula, free_point_vars
 from .formulas.evaluator import AS_FORMULA, AS_ORACLE, ImplMap, eval_formula
 from .formulas.parser import ParseError, parse_formula
@@ -44,7 +44,6 @@ from .preservation import (
 from .reports import read_json, stable_json_dumps, write_report
 from .scalars import ScalarError
 from .universe import Universe
-from .closure import close_midpoints
 
 USER_ERRORS = (
     ParseError,
@@ -200,7 +199,9 @@ def cmd_verify_layer(args) -> int:
 def cmd_check_axioms(args) -> int:
     space = _space_from_args(args)
     if args.axiom == "all":
-        reports = run_axiom_suite(space, args.samples, args.seed, constructions=args.constructions)
+        reports = run_axiom_suite(
+            space, args.samples, args.seed, constructions=args.constructions, chain_cap=args.chain_cap
+        )
     else:
         checker = CHECKERS.get(args.axiom)
         if checker is None:
@@ -343,6 +344,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(f"error: input nested too deeply (past the recursion limit of {limit} frames)", file=sys.stderr)
         return 2
 
 

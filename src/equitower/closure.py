@@ -152,30 +152,35 @@ def close_for_delta(
     return uni.add(apexes, TAG_SPHERE)
 
 
-def add_refuters(
-    space: Space, rel: RelationId, points: tuple[Point, ...], chain_max: int = 8,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> Universe:
+def _refuter_points(
+    space: Space, rel: RelationId, points: tuple[Point, ...], chain_max: int = 8
+) -> list[Point]:
     """Analytic counterexample points for the universal subformulas of
     EQUIV2 (x = mid(a,b), y = mid(a,x)), LE (m = mid(c,d)), and NEQ (a far
     point unreachable in chain_max steps)."""
-    uni = Universe(space, points, size_cap=size_cap)
     name = rel.name
     if name == "EQUIV2":
         a, b = points[0], points[1]
         x = midpoint(a, b)
-        return uni.add([x, midpoint(a, x)], TAG_REFUTER)
+        return [x, midpoint(a, x)]
     if name == "LE":
         c, d = points[2], points[3]
-        return uni.add([midpoint(c, d)], TAG_REFUTER)
+        return [midpoint(c, d)]
     if name == "NEQ":
         x, y = points
         if space.points_eq(x, y):
-            far = Point(x.x + 1, x.y)
-        else:
-            far = affine_combination(x, y, Fraction(chain_max + 1))
-        return uni.add([far], TAG_REFUTER)
+            return [Point(x.x + 1, x.y)]
+        return [affine_combination(x, y, Fraction(chain_max + 1))]
     raise GeometryError(f"no refuter recipe for {rel.label()}")
+
+
+def add_refuters(
+    space: Space, rel: RelationId, points: tuple[Point, ...], chain_max: int = 8,
+    size_cap: int = DEFAULT_SIZE_CAP,
+) -> Universe:
+    """``points`` plus their analytic counterexample points."""
+    refuters = _refuter_points(space, rel, points, chain_max)
+    return Universe(space, points, size_cap=size_cap).add(refuters, TAG_REFUTER)
 
 
 def _pick_witness(candidates: list[Point], breeding_test) -> Point:
@@ -279,8 +284,7 @@ def closure_for_relation(
         # breed accidental antecedent pairs (fatal in box norms, where whole
         # wedges are equidistant from a segment's endpoints by dominance)
         a, b, c, d = points
-        x0 = midpoint(a, b)
-        uni = Universe(space, [x0, midpoint(a, x0)], TAG_REFUTER, size_cap=size_cap)
+        uni = Universe(space, _refuter_points(space, rel, points), TAG_REFUTER, size_cap=size_cap)
         if space.points_eq(c, d):
             uni = uni.add([c], TAG_SPHERE)
         else:
@@ -288,31 +292,25 @@ def closure_for_relation(
         return _fixpoint(space, uni, lambda u: _equiv2_witness_round(space, u, a, b, c, d), TAG_SPHERE)
     if name == "LE":
         a, b, c, d = points
-        uni = Universe(space, [midpoint(c, d)], TAG_REFUTER, size_cap=size_cap)
+        uni = Universe(space, _refuter_points(space, rel, points), TAG_REFUTER, size_cap=size_cap)
         return _fixpoint(space, uni, lambda u: _le_witness_round(space, u, a, b, c, d), TAG_SPHERE)
     if name == "NEQ":
-        x, y = points
         uni = Universe(space, points, size_cap=size_cap)
-        if space.points_eq(x, y):
-            uni = add_refuters(space, rel, points, trunc.chain_max, size_cap=size_cap)
+        if space.points_eq(*points):
+            uni = uni.add(_refuter_points(space, rel, points, trunc.chain_max), TAG_REFUTER)
         return uni
-    if name == "ALPHA":
-        a, b, x = points
+    if name in ("ALPHA", "BETA"):
+        a, b, _ = points
         uni = Universe(space, points, size_cap=size_cap)
         if space.points_eq(a, b):
             return uni
-        return uni.add(close_for_alpha_beta(space, a, b, rel.indices[0], 0).points, TAG_CHAIN)
-    if name == "BETA":
-        a, b, y = points
-        uni = Universe(space, points, size_cap=size_cap)
-        if space.points_eq(a, b):
-            return uni
-        return uni.add(close_for_alpha_beta(space, a, b, 0, rel.indices[0]).points, TAG_CHAIN)
+        n, k = (rel.indices[0], 0) if name == "ALPHA" else (0, rel.indices[0])
+        return uni.add(close_for_alpha_beta(space, a, b, n, k).points, TAG_CHAIN)
     if name == "PSI":
         a, b, c, d = points
         n, k = rel.indices
         return close_for_psi(space, a, b, c, d, n, k, size_cap=size_cap)
-    if name == "GAMMA":
+    if name in ("GAMMA", "COLLINEAR"):
         return Universe(space, points, size_cap=size_cap)
     if name == "B":
         a, b, c = points
@@ -343,6 +341,4 @@ def closure_for_relation(
             half = Fraction(1, 2) * space.length_value(end_a, end_b)
             extras.append(sphere_intersection_point(space, end_a, half, end_b, half))
         return uni.add(extras, TAG_MIDPOINT)
-    if name == "COLLINEAR":
-        return Universe(space, points, size_cap=size_cap)
     raise GeometryError(f"no closure recipe for {rel.label()}")

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from ..geometry import Point
-from ..oracles import RELATION_SPECS
+from ..oracles import RELATIONS
 from .ast import (
     And,
     AtomEq,
@@ -27,7 +27,6 @@ from .ast import (
 )
 
 _VAR_POOL = ("a", "b", "c", "d", "p", "q", "r", "w")
-_INDEXED = ("PHI", "ALPHA", "BETA", "PSI", "DELTA")
 
 
 def _term(rng: random.Random, index_vars: tuple[str, ...]) -> Term:
@@ -42,15 +41,15 @@ def _term(rng: random.Random, index_vars: tuple[str, ...]) -> Term:
 
 
 def _schema_ref(rng: random.Random, index_vars: tuple[str, ...]) -> SchemaRef:
-    name = rng.choice(sorted(RELATION_SPECS))
-    n_idx, arity, _ = RELATION_SPECS[name]
+    name = rng.choice(sorted(RELATIONS))
+    spec = RELATIONS[name]
     index_args: list[int | str] = []
-    for _ in range(n_idx):
+    for _ in range(spec.n_indices):
         if index_vars and rng.random() < 0.4:
             index_args.append(rng.choice(index_vars))
         else:
             index_args.append(rng.randint(1, 6))
-    terms = tuple(_term(rng, index_vars) for _ in range(arity))
+    terms = tuple(_term(rng, index_vars) for _ in spec.params)
     return SchemaRef(name, tuple(index_args), terms)
 
 

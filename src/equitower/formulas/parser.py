@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..geometry import Point
-from ..oracles import RELATION_SPECS
+from ..oracles import RELATIONS
 from .ast import (
     And,
     AtomEq,
@@ -225,10 +225,10 @@ def _parse_formula(node: _Node) -> Formula:
         if name_node.atom is None:
             raise ParseError("relation name must be a symbol", name_node.line, name_node.column)
         name = name_node.atom.text.upper()
-        spec = RELATION_SPECS.get(name)
+        spec = RELATIONS.get(name)
         if spec is None:
             raise ParseError(f"unknown relation {name!r}", name_node.line, name_node.column)
-        n_idx, arity, _ = spec
+        n_idx, arity = spec.n_indices, len(spec.params)
         args = rest[1:]
         if len(args) != n_idx + arity:
             raise ParseError(

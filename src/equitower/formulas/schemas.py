@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..oracles import RelationId
+from ..oracles import RELATIONS, RelationId
 from .ast import (
     And,
     AtomEq,
@@ -90,29 +90,6 @@ class TruncationParams:
         }
 
 
-_PARAMS: dict[str, tuple[str, ...]] = {
-    "EQUIV2": ("a", "b", "c", "d"),
-    "PHI": ("a", "b", "x"),
-    "M": ("a", "b", "c"),
-    "ALPHA": ("a", "b", "x"),
-    "BETA": ("a", "b", "y"),
-    "PSI": ("a", "b", "c", "d"),
-    "GAMMA": ("a", "b", "c"),
-    "B": ("a", "b", "c"),
-    "DELTA": ("z0", "x", "zn"),
-    "NEQ": ("x", "y"),
-    "LE": ("a", "b", "c", "d"),
-    "COLLINEAR": ("x", "y", "z"),
-}
-
-
-def schema_params(rel: RelationId) -> tuple[str, ...]:
-    params = _PARAMS.get(rel.name)
-    if params is None:
-        raise SchemaError(f"{rel.name} has no formula expansion (analytic predicate only)")
-    return params
-
-
 def _equi(*names_or_terms) -> AtomEqui:
     terms = tuple(Var(t) if isinstance(t, str) else t for t in names_or_terms)
     return AtomEqui(*terms)
@@ -143,7 +120,7 @@ def _chain_exists(conjuncts: list[Formula], bound: list[str], leaf_extra: Formul
     return body
 
 
-def _expand_equiv2() -> Formula:
+def _expand_equiv2(trunc: TruncationParams) -> Formula:
     exists_e = Exists(("e",), And((_equi("a", "e", "c", "d"), _equi("b", "e", "c", "d"))))
     # the universal part is equivalent to d(a,b) >= 2 d(c,d): the pair
     # x = mid(a,b), y = mid(a,x) minimizes d(x,y) at d(a,b)/4, and the
@@ -158,7 +135,7 @@ def _expand_equiv2() -> Formula:
     return And((exists_e, universal))
 
 
-def _expand_phi(n: int, trunc: TruncationParams) -> Formula:
+def _expand_phi(trunc: TruncationParams, n: int) -> Formula:
     stage0 = And((_equi("x", "a", "x", "b"), SchemaRef("EQUIV2", (), (Var("a"), Var("b"), Var("x"), Var("a")))))
     if n == 0:
         return stage0
@@ -191,7 +168,7 @@ def _expand_midpoint(trunc: TruncationParams) -> Formula:
     return And((Not(_eq("a", "c")),) + stages)
 
 
-def _expand_alpha(n: int) -> Formula:
+def _expand_alpha(trunc: TruncationParams, n: int) -> Formula:
     distinct = Not(_eq("a", "b"))
     if n == 1:
         return And((distinct, _eq("x", "b")))
@@ -203,7 +180,7 @@ def _expand_alpha(n: int) -> Formula:
     return And((distinct, _chain_exists(conjuncts, bound)))
 
 
-def _expand_beta(k: int) -> Formula:
+def _expand_beta(trunc: TruncationParams, k: int) -> Formula:
     distinct = Not(_eq("a", "b"))
     ys = [f"y{i}" for i in range(1, k)] + ["y"]
     conjuncts: list[Formula] = [_mid("a", ys[0], "b")]
@@ -212,7 +189,7 @@ def _expand_beta(k: int) -> Formula:
     return And((distinct, _chain_exists(conjuncts, bound)))
 
 
-def _expand_psi(n: int, k: int) -> Formula:
+def _expand_psi(trunc: TruncationParams, n: int, k: int) -> Formula:
     witness = Exists(
         ("v",),
         And(
@@ -278,7 +255,7 @@ def _expand_b(trunc: TruncationParams) -> Formula:
     return Or((_eq("a", "b"), _eq("b", "c"), tower))
 
 
-def _expand_delta(n: int) -> Formula:
+def _expand_delta(trunc: TruncationParams, n: int) -> Formula:
     if n == 1:
         return _equi("z0", "zn", "z0", "x")
     names = ["z0"] + [f"z{i}" for i in range(1, n)] + ["zn"]
@@ -296,7 +273,7 @@ def _expand_neq(trunc: TruncationParams) -> Formula:
     return ForAll(("z",), disj(*chains))
 
 
-def _expand_le() -> Formula:
+def _expand_le(trunc: TruncationParams) -> Formula:
     return ForAll(
         ("m",),
         Exists(
@@ -309,7 +286,7 @@ def _expand_le() -> Formula:
     )
 
 
-def _expand_collinear() -> Formula:
+def _expand_collinear(trunc: TruncationParams) -> Formula:
     return Or(
         (
             SchemaRef("B", (), (Var("x"), Var("y"), Var("z"))),
@@ -319,34 +296,32 @@ def _expand_collinear() -> Formula:
     )
 
 
+# relation name -> expander called as ``expander(trunc, *indices)``
+_EXPANSIONS = {
+    "EQUIV2": _expand_equiv2,
+    "PHI": _expand_phi,
+    "M": _expand_midpoint,
+    "ALPHA": _expand_alpha,
+    "BETA": _expand_beta,
+    "PSI": _expand_psi,
+    "GAMMA": _expand_gamma,
+    "B": _expand_b,
+    "DELTA": _expand_delta,
+    "NEQ": _expand_neq,
+    "LE": _expand_le,
+    "COLLINEAR": _expand_collinear,
+}
+
+
 @lru_cache(maxsize=4096)
 def _expand_cached(rel: RelationId, trunc: TruncationParams) -> Formula:
-    name = rel.name
-    if name == "EQUIV2":
-        return _expand_equiv2()
-    if name == "PHI":
-        return _expand_phi(rel.indices[0], trunc)
-    if name == "M":
-        return _expand_midpoint(trunc)
-    if name == "ALPHA":
-        return _expand_alpha(rel.indices[0])
-    if name == "BETA":
-        return _expand_beta(rel.indices[0])
-    if name == "PSI":
-        return _expand_psi(rel.indices[0], rel.indices[1])
-    if name == "GAMMA":
-        return _expand_gamma(trunc)
-    if name == "B":
-        return _expand_b(trunc)
-    if name == "DELTA":
-        return _expand_delta(rel.indices[0])
-    if name == "NEQ":
-        return _expand_neq(trunc)
-    if name == "LE":
-        return _expand_le()
-    if name == "COLLINEAR":
-        return _expand_collinear()
-    raise SchemaError(f"{name} has no formula expansion (analytic predicate only)")
+    return _EXPANSIONS[rel.name](trunc, *rel.indices)
+
+
+def schema_params(rel: RelationId) -> tuple[str, ...]:
+    if rel.name not in _EXPANSIONS:
+        raise SchemaError(f"{rel.name} has no formula expansion (analytic predicate only)")
+    return RELATIONS[rel.name].params
 
 
 def expand_schema(rel: RelationId, trunc: TruncationParams) -> Formula:

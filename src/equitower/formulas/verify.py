@@ -7,6 +7,11 @@ constructed positives, random instances, near-misses, and degenerate
 configurations.  Agreement on every sample is the contract the closure
 module promises.
 
+A relation is layer-verifiable exactly when it has a sampler in
+``_SAMPLERS``.  Its oracle and formal points come from
+:data:`equitower.oracles.RELATIONS`, its formula from ``schemas._EXPANSIONS``
+and its universe from :func:`equitower.closure.closure_for_relation`.
+
 Backend policy: everything verifies on the exact backend except the layers
 whose closures need sphere-sphere intersections (EQUIV2, PSI, DELTA, LE)
 in the l2 norm, where those intersections are irrational and exact
@@ -46,10 +51,6 @@ from .evaluator import ImplMap, _Evaluator, schema_query
 from .schemas import SchemaError, TruncationParams
 
 SPHERE_BOUND_LAYERS = frozenset({"EQUIV2", "PSI", "DELTA", "LE"})
-
-VERIFIABLE = frozenset(
-    {"EQUIV2", "PHI", "ALPHA", "BETA", "PSI", "GAMMA", "B", "DELTA", "NEQ", "LE", "COLLINEAR"}
-)
 
 
 def verification_space(rel: RelationId, norm: NormSpec, tolerance: float = 1e-9) -> Space:
@@ -99,12 +100,10 @@ def verify_layer(
     seed: int,
 ) -> LayerReport:
     """Compare formula evaluation with the oracle on ``samples`` biased draws."""
-    if rel.name not in VERIFIABLE:
+    if rel.name not in _SAMPLERS:
         raise SchemaError(f"{rel.label()} is not layer-verifiable")
     if rel.name == "PHI" and rel.indices[0] >= 1:
         raise SchemaError("PHI stages >= 1 have no finite-stage oracle; excluded from verification")
-    if rel.name == "M":
-        raise SchemaError("M's tower references PHI stages >= 1; excluded from verification")
     rng = random.Random(seed)
     query, params = schema_query(rel)
     impl = ImplMap.layered(rel.name)
@@ -153,34 +152,13 @@ def _offset(space: Space, rng: random.Random) -> Point:
 def sample_instance(
     space: Space, rng: random.Random, rel: RelationId, trunc: TruncationParams | None = None
 ) -> tuple[Point, ...]:
-    trunc = trunc if trunc is not None else TruncationParams()
-    name = rel.name
-    if name == "EQUIV2":
-        return _sample_equiv2(space, rng)
-    if name in ("PHI",):
-        return _sample_phi(space, rng)
-    if name == "ALPHA":
-        return _sample_scaled_point(space, rng, Fraction(rel.indices[0]))
-    if name == "BETA":
-        return _sample_scaled_point(space, rng, Fraction(1, 2 ** rel.indices[0]))
-    if name == "PSI":
-        return _sample_psi(space, rng, *rel.indices)
-    if name == "GAMMA":
-        return _sample_gamma(space, rng, Fraction(2, 2**trunc.K))
-    if name == "B":
-        return _sample_b(space, rng, trunc.b_depth)
-    if name == "DELTA":
-        return _sample_delta(space, rng, rel.indices[0])
-    if name == "NEQ":
-        return _sample_neq(space, rng)
-    if name == "LE":
-        return _sample_le(space, rng)
-    if name == "COLLINEAR":
-        return _sample_b(space, rng, trunc.b_depth)
-    raise SchemaError(f"no sampler for {rel.label()}")
+    sampler = _SAMPLERS.get(rel.name)
+    if sampler is None:
+        raise SchemaError(f"no sampler for {rel.label()}")
+    return sampler(space, rng, trunc if trunc is not None else TruncationParams(), *rel.indices)
 
 
-def _sample_equiv2(space: Space, rng: random.Random) -> tuple[Point, ...]:
+def _sample_equiv2(space: Space, rng: random.Random, trunc: TruncationParams) -> tuple[Point, ...]:
     roll = rng.random()
     c = rand_point(space, rng)
     d = rand_point(space, rng)
@@ -203,7 +181,7 @@ def _sample_equiv2(space: Space, rng: random.Random) -> tuple[Point, ...]:
     return a, rand_point(space, rng), c, d
 
 
-def _sample_phi(space: Space, rng: random.Random) -> tuple[Point, ...]:
+def _sample_phi(space: Space, rng: random.Random, trunc: TruncationParams, n: int) -> tuple[Point, ...]:
     a = rand_point(space, rng)
     b = rand_point(space, rng)
     roll = rng.random()
@@ -233,7 +211,7 @@ def _sample_scaled_point(space: Space, rng: random.Random, t: Fraction) -> tuple
     return a, b, rand_point(space, rng)
 
 
-def _sample_psi(space: Space, rng: random.Random, n: int, k: int) -> tuple[Point, ...]:
+def _sample_psi(space: Space, rng: random.Random, trunc: TruncationParams, n: int, k: int) -> tuple[Point, ...]:
     a = rand_point(space, rng)
     v = rand_nonzero_vector(space, rng)
     b = p_add(a, v)
@@ -271,7 +249,7 @@ def _perp_offset(space: Space, a: Point, c: Point, scale: Fraction) -> Point:
     return scale_vector(space, Point(-v.y, v.x), scale)
 
 
-def _sample_gamma(space: Space, rng: random.Random, band_coeff: Fraction = Fraction(1, 32)) -> tuple[Point, ...]:
+def _sample_gamma(space: Space, rng: random.Random, trunc: TruncationParams) -> tuple[Point, ...]:
     """Triples for metric-betweenness checks.
 
     The truncated tower at depth K cannot distinguish path defects in
@@ -280,6 +258,7 @@ def _sample_gamma(space: Space, rng: random.Random, band_coeff: Fraction = Fract
     above the band (outside-collinear, quarter-turn offsets, or random
     triples rejection-filtered with the exact band predicate).
     """
+    band_coeff = Fraction(2, 2**trunc.K)
     roll = rng.random()
     if roll < 0.30:
         return collinear_triple(space, rng)
@@ -332,15 +311,13 @@ def _staircase_b_triple(space: Space, rng: random.Random, depth: int) -> tuple[P
         dx, dy = Fraction(rng.randint(1, 6)), Fraction(rng.randint(1, 6))
         b = p_add(a, Point(dx * u, dy * w))
         c = p_add(a, Point(dx, dy))
-    if space.backend == "float":
-        b = Point(float(b.x), float(b.y))
-        c = Point(float(c.x), float(c.y))
     return a, b, c
 
 
-def _sample_b(space: Space, rng: random.Random, depth: int = 3) -> tuple[Point, ...]:
+def _sample_b(space: Space, rng: random.Random, trunc: TruncationParams) -> tuple[Point, ...]:
     """Triples for affine-betweenness checks, avoiding the subdivision
-    tower's blind zone (off-segment points it cannot reject by ``depth``)."""
+    tower's blind zone (off-segment points it cannot reject by depth
+    ``trunc.b_depth``)."""
     roll = rng.random()
     a = rand_point(space, rng)
     c = rand_point(space, rng)
@@ -353,7 +330,7 @@ def _sample_b(space: Space, rng: random.Random, depth: int = 3) -> tuple[Point, 
         t = Fraction(rng.randint(2, 5)) if rng.random() < 0.5 else -rand_unit_fraction(rng)
         return a, affine_combination(a, c, t), c
     if roll < 0.72 and space.norm.kind in ("l1", "linf"):
-        return _staircase_b_triple(space, rng, depth)
+        return _staircase_b_triple(space, rng, trunc.b_depth)
     if roll < 0.86:  # gross off-line deviation: rejected at the first level
         slide = affine_combination(a, c, rand_unit_fraction(rng))
         return a, p_add(slide, _perp_offset(space, a, c, Fraction(2))), c
@@ -365,7 +342,7 @@ def _sample_b(space: Space, rng: random.Random, depth: int = 3) -> tuple[Point, 
     return a, rand_point(space, rng), a
 
 
-def _sample_delta(space: Space, rng: random.Random, n: int) -> tuple[Point, ...]:
+def _sample_delta(space: Space, rng: random.Random, trunc: TruncationParams, n: int) -> tuple[Point, ...]:
     z0 = rand_point(space, rng)
     v = rand_nonzero_vector(space, rng)
     x = p_add(z0, v)
@@ -385,14 +362,14 @@ def _sample_delta(space: Space, rng: random.Random, n: int) -> tuple[Point, ...]
     return z0, x, rand_point(space, rng)
 
 
-def _sample_neq(space: Space, rng: random.Random) -> tuple[Point, ...]:
+def _sample_neq(space: Space, rng: random.Random, trunc: TruncationParams) -> tuple[Point, ...]:
     x = rand_point(space, rng)
     if rng.random() < 0.4:
         return x, x
     return x, rand_point(space, rng)
 
 
-def _sample_le(space: Space, rng: random.Random) -> tuple[Point, ...]:
+def _sample_le(space: Space, rng: random.Random, trunc: TruncationParams) -> tuple[Point, ...]:
     c = rand_point(space, rng)
     d = rand_point(space, rng)
     a = rand_point(space, rng)
@@ -414,3 +391,20 @@ def _sample_le(space: Space, rng: random.Random) -> tuple[Point, ...]:
             return a, rand_point(space, rng), c, c
         return a, a, c, c
     return a, rand_point(space, rng), c, d
+
+
+# relation name -> sampler called as ``sampler(space, rng, trunc, *indices)``;
+# a relation is layer-verifiable exactly when it has a sampler here
+_SAMPLERS = {
+    "EQUIV2": _sample_equiv2,
+    "PHI": _sample_phi,
+    "ALPHA": lambda space, rng, trunc, n: _sample_scaled_point(space, rng, Fraction(n)),
+    "BETA": lambda space, rng, trunc, k: _sample_scaled_point(space, rng, Fraction(1, 2**k)),
+    "PSI": _sample_psi,
+    "GAMMA": _sample_gamma,
+    "B": _sample_b,
+    "DELTA": _sample_delta,
+    "NEQ": _sample_neq,
+    "LE": _sample_le,
+    "COLLINEAR": _sample_b,
+}

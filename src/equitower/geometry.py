@@ -76,10 +76,6 @@ def p_sub(a: Point, b: Point) -> Point:
     return Point(a.x - b.x, a.y - b.y)
 
 
-def p_scale(a: Point, t: Scalar) -> Point:
-    return Point(a.x * t, a.y * t)
-
-
 def cross(u: Point, v: Point) -> Scalar:
     return u.x * v.y - u.y * v.x
 
@@ -172,8 +168,8 @@ class Space:
             if self.tolerance != 0:
                 raise GeometryError("exact backend uses zero tolerance")
         else:
-            if self.tolerance < 0:
-                raise GeometryError("tolerance must be nonnegative")
+            if not 0 <= self.tolerance < math.inf:
+                raise GeometryError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
         object.__setattr__(self, "kernel", kernel_for(self.norm, self.backend, self.tolerance))
 
     # ------------------------------------------------------------------

@@ -1,5 +1,13 @@
 """Analytic oracles for every relation in the definition tower.
 
+Each relation is defined once, in :data:`RELATIONS`: its index count and
+index check, its formal point parameters (their number is its arity) and
+its oracle.  The layers above keep only their own part, keyed by the same
+name: the formula expansion in ``formulas.schemas._EXPANSIONS``, the biased
+sampler in ``formulas.verify._SAMPLERS`` and the witness/refuter recipe in
+:func:`equitower.closure.closure_for_relation`.  A new relation touches
+those four places.
+
 Each oracle states the relation's intended meaning directly in coordinates
 and distances; the formula kernel is verified against these.  Key reading
 notes baked in here:
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .geometry import EXACT, Point, Space, cross, p_sub
 from .scalars import float_eq
@@ -39,19 +48,18 @@ class RelationId:
     indices: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        spec = RELATION_SPECS.get(self.name)
+        spec = RELATIONS.get(self.name)
         if spec is None:
             raise OracleError(f"unknown relation {self.name!r}")
-        n_idx, _, idx_check = spec
-        if len(self.indices) != n_idx:
+        if len(self.indices) != spec.n_indices:
             raise OracleError(
-                f"{self.name} takes {n_idx} index argument(s), got {len(self.indices)}"
+                f"{self.name} takes {spec.n_indices} index argument(s), got {len(self.indices)}"
             )
-        if idx_check is not None and not idx_check(self.indices):
+        if spec.index_ok is not None and not spec.index_ok(self.indices):
             raise OracleError(f"invalid indices {self.indices} for {self.name}")
 
     def arity(self) -> int:
-        return RELATION_SPECS[self.name][1]
+        return len(RELATIONS[self.name].params)
 
     def label(self) -> str:
         if not self.indices:
@@ -70,51 +78,16 @@ class RelationId:
         return RelationId(name, indices)
 
 
-# name -> (index count, point arity, index validity check)
-RELATION_SPECS: dict[str, tuple[int, int, "object"]] = {
-    "EQUIV2": (0, 4, None),
-    "PHI": (1, 3, lambda ix: ix[0] >= 0),
-    "M": (0, 3, None),
-    "ALPHA": (1, 3, lambda ix: ix[0] >= 1),
-    "BETA": (1, 3, lambda ix: ix[0] >= 1),
-    "PSI": (2, 4, lambda ix: ix[0] >= 1 and ix[1] >= 1),
-    "GAMMA": (0, 3, None),
-    "B": (0, 3, None),
-    "DELTA": (1, 3, lambda ix: ix[0] >= 1),
-    "NEQ": (0, 2, None),
-    "LE": (0, 4, None),
-    "COLLINEAR": (0, 3, None),
-    "PARALLELOGRAM": (0, 4, None),
-}
+@dataclass(frozen=True)
+class RelationSpec:
+    """A relation's formal point parameters (their number is its arity, and
+    its expansion's free variables are named after them), its oracle, called
+    as ``oracle(space, *indices, *points)``, and its index count and check."""
 
-EQUIV2 = RelationId("EQUIV2")
-M = RelationId("M")
-GAMMA = RelationId("GAMMA")
-B = RelationId("B")
-NEQ = RelationId("NEQ")
-LE = RelationId("LE")
-COLLINEAR = RelationId("COLLINEAR")
-PARALLELOGRAM = RelationId("PARALLELOGRAM")
-
-
-def PHI(n: int) -> RelationId:
-    return RelationId("PHI", (n,))
-
-
-def ALPHA(n: int) -> RelationId:
-    return RelationId("ALPHA", (n,))
-
-
-def BETA(k: int) -> RelationId:
-    return RelationId("BETA", (k,))
-
-
-def PSI(n: int, k: int) -> RelationId:
-    return RelationId("PSI", (n, k))
-
-
-def DELTA(n: int) -> RelationId:
-    return RelationId("DELTA", (n,))
+    params: tuple[str, ...]
+    oracle: Callable[..., bool]
+    n_indices: int = 0
+    index_ok: Callable[[tuple[int, ...]], bool] | None = None
 
 
 # ----------------------------------------------------------------------
@@ -283,35 +256,50 @@ def oracle_parallelogram(space: Space, a: Point, b: Point, c: Point, d: Point) -
     return not oracle_collinear(space, a, b, c)
 
 
+RELATIONS: dict[str, RelationSpec] = {
+    "EQUIV2": RelationSpec(("a", "b", "c", "d"), oracle_equiv2),
+    "PHI": RelationSpec(("a", "b", "x"), oracle_phi, 1, lambda ix: ix[0] >= 0),
+    "M": RelationSpec(("a", "b", "c"), oracle_midpoint),
+    "ALPHA": RelationSpec(("a", "b", "x"), oracle_alpha, 1, lambda ix: ix[0] >= 1),
+    "BETA": RelationSpec(("a", "b", "y"), oracle_beta, 1, lambda ix: ix[0] >= 1),
+    "PSI": RelationSpec(("a", "b", "c", "d"), oracle_psi, 2, lambda ix: ix[0] >= 1 and ix[1] >= 1),
+    "GAMMA": RelationSpec(("a", "b", "c"), oracle_gamma),
+    "B": RelationSpec(("a", "b", "c"), oracle_B),
+    "DELTA": RelationSpec(("z0", "x", "zn"), oracle_delta, 1, lambda ix: ix[0] >= 1),
+    "NEQ": RelationSpec(("x", "y"), oracle_distinct),
+    "LE": RelationSpec(("a", "b", "c", "d"), oracle_le),
+    "COLLINEAR": RelationSpec(("x", "y", "z"), oracle_collinear),
+    "PARALLELOGRAM": RelationSpec(("a", "b", "c", "d"), oracle_parallelogram),
+}
+
+
 def oracle_truth(space: Space, rel: RelationId, points: tuple[Point, ...]) -> bool:
     """Dispatch a relation id to its oracle."""
     if len(points) != rel.arity():
         raise OracleError(f"{rel.label()} expects {rel.arity()} points, got {len(points)}")
-    name = rel.name
-    if name == "EQUIV2":
-        return oracle_equiv2(space, *points)
-    if name == "PHI":
-        return oracle_phi(space, rel.indices[0], *points)
-    if name == "M":
-        return oracle_midpoint(space, *points)
-    if name == "ALPHA":
-        return oracle_alpha(space, rel.indices[0], *points)
-    if name == "BETA":
-        return oracle_beta(space, rel.indices[0], *points)
-    if name == "PSI":
-        return oracle_psi(space, rel.indices[0], rel.indices[1], *points)
-    if name == "GAMMA":
-        return oracle_gamma(space, *points)
-    if name == "B":
-        return oracle_B(space, *points)
-    if name == "DELTA":
-        return oracle_delta(space, rel.indices[0], *points)
-    if name == "NEQ":
-        return oracle_distinct(space, *points)
-    if name == "LE":
-        return oracle_le(space, *points)
-    if name == "COLLINEAR":
-        return oracle_collinear(space, *points)
-    if name == "PARALLELOGRAM":
-        return oracle_parallelogram(space, *points)
-    raise OracleError(f"no oracle for {name}")
+    return RELATIONS[rel.name].oracle(space, *rel.indices, *points)
+
+
+EQUIV2 = RelationId("EQUIV2")
+GAMMA = RelationId("GAMMA")
+LE = RelationId("LE")
+
+
+def PHI(n: int) -> RelationId:
+    return RelationId("PHI", (n,))
+
+
+def ALPHA(n: int) -> RelationId:
+    return RelationId("ALPHA", (n,))
+
+
+def BETA(k: int) -> RelationId:
+    return RelationId("BETA", (k,))
+
+
+def PSI(n: int, k: int) -> RelationId:
+    return RelationId("PSI", (n, k))
+
+
+def DELTA(n: int) -> RelationId:
+    return RelationId("DELTA", (n,))

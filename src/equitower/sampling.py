@@ -177,9 +177,6 @@ def box_path_triple(space: Space, rng: random.Random) -> tuple[Point, Point, Poi
         dy = Point(Fraction(0), rand_positive_fraction(rng))
         b = p_add(a, Point(dx.x * rand_unit_fraction(rng), dy.y * rand_unit_fraction(rng)))
         c = p_add(a, Point(dx.x, dy.y))
-        if space.backend == "float":
-            b = Point(float(b.x), float(b.y))
-            c = Point(float(c.x), float(c.y))
         return a, b, c
     if kind == "linf":
         total = rand_positive_fraction(rng) + 2
@@ -192,8 +189,5 @@ def box_path_triple(space: Space, rng: random.Random) -> tuple[Point, Point, Poi
             rise = total - split
         b = p_add(a, Point(split, rise))
         c = p_add(a, Point(total, Fraction(0)))
-        if space.backend == "float":
-            b = Point(float(b.x), float(b.y))
-            c = Point(float(c.x), float(c.y))
         return a, b, c
     return collinear_triple(space, rng)

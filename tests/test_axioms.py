@@ -77,6 +77,10 @@ class TestReportBookkeeping:
         assert report.passed
         assert report.incomplete >= 0
 
+    def test_chain_cap_below_two_is_refused(self):
+        with pytest.raises(ValueError, match="got 1"):
+            check_axiom_i(Space(L1, "exact"), samples=5, seed=3, chain_cap=1)
+
     def test_axiom_h_embeds_the_order_formula_comparison(self):
         space = Space(L1, "exact")
         report = check_axiom_h(space, samples=50, seed=4, schnabel_samples=40)

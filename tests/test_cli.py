@@ -193,6 +193,134 @@ def test_float_box_norm_constructions_pass(tmp_path, argv):
     assert main(argv + ["--backend", "float", "--seed", "1", "--output", str(out)]) == 0
 
 
+# SHA-256 of the stdout of `expand --relation LABEL` at default truncation
+# (one label per relation and index shape, plus B in strict-paper mode).
+GOLDEN_EXPAND_SHA256 = {
+    ("EQUIV2",): "0b07ca8610343d5cd286083a5c89e2103cf16cbfaf4eeb7d52c3b990fd35d7bd",
+    ("PHI:0",): "39a2d656336f2c2d1b1f4b42878bd86a87aadbc313b55c79f0788537763e9e11",
+    ("PHI:2",): "6cc83e6a7dfa6a16e1ed7ca1e4b6cddbef64af9916b3bb0731b0a9d7ed3c91be",
+    ("M",): "c8eb64ba2327286bfc064d7a7061684b234a61fba3c79c781d2cca049e74ae9e",
+    ("ALPHA:1",): "c3595b88c198db59ce5859afac90d4722d89e354ce59804c78c87ac77f5adec4",
+    ("ALPHA:3",): "400be8ba07ae67ee343ed8d0534653fcddce9f5a0bee8613b88e2696e4712edf",
+    ("BETA:1",): "9f9186332a0180343075bbd32aea296adbd0815c6b99d8ea4a71577f756554ac",
+    ("BETA:3",): "09876ee1415295c510e4680ec74e003e40c9a2588dea41a1e5376607b22b332f",
+    ("PSI:1:1",): "65f5f69b0d8ccd8dc91f538029a318eed225d606b48a1993aca0bd492c80a818",
+    ("PSI:3:2",): "3e0032215046259a20405d4868b929392865fcec3712355508e907679a12a40f",
+    ("GAMMA",): "fbbcae8a086a74b6a9423d59e3639430eb7ff1780bbc0eb0a8e831fade4a6c56",
+    ("B",): "51e39d8b2e54771bb1a2003da8c0780452168f83bec08a74efc118d86e23661f",
+    ("B", "--mode", "strict-paper"): "c594964f09bfb3fa68eb5e084abbb6e7c50b3975e5c4711dc6f30e2646289fcf",
+    ("DELTA:1",): "5d724a7819819c3828829d8259af5395fd050b3390eab598fb0f37493193df52",
+    ("DELTA:4",): "d828da52c8eee7d3c89441dabb6cf016ea43a45bb8aff67dc6bef2c60129b846",
+    ("NEQ",): "26b4f67f4526a2e4510eec2d5dcbec9c448eb01907f81308dfb1834f422ff7de",
+    ("LE",): "b8cea8025ab98e9a23cb30915d8e2cd242e8c4345eee707bc434f50021f5a0ea",
+    ("COLLINEAR",): "2a0438f019986902779a8e8b04362d58382bec130525d948aba22a32acc4b113",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_EXPAND_SHA256), ids=" ".join)
+def test_expand_output_is_pinned(capsys, args):
+    assert main(["expand", "--relation", *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EXPAND_SHA256[args]
+
+
+# SHA-256 of `verify-layer --relation REL --seed 9 --samples 15 --output FILE`
+# on l1 (and linf) for the layers whose closures need no sphere meets.
+GOLDEN_LAYER_SHA256 = {
+    ("PHI:0", "l1", "exact"): "20c3001319f46fce53297fe174b74185520aac1e3abe191758a93e9ef1f9b1a4",
+    ("ALPHA:3", "l1", "exact"): "b5682099a5bad343ed6a3b7f9c44a635e1dfb06fa088ee084332f684b6cadf86",
+    ("BETA:3", "l1", "exact"): "463eeb7015807a937773e651a0d42155a2d0033b6a401b82949c857ce382200b",
+    ("GAMMA", "l1", "exact"): "8913b1de83e37a71102e301dad8faa16bd6e6779d51c6eead6b213077c44cce2",
+    ("B", "l1", "exact"): "9d42d60252e746143bc482de02763ae9d36f3a7b6af46916fe864ff5a229247e",
+    ("COLLINEAR", "l1", "exact"): "6151a5e47c20826e0cd7e96e68c98fd49423fdac7af3fb1efc55d502193a0197",
+    ("NEQ", "l1", "exact"): "36571948bafdaed82dc0d7379c4cb1471c32790d5e84cff12afb775ffb077608",
+    ("DELTA:6", "l1", "exact"): "e7f590e3398edc3131ad9276d1754d22d05f96df3c56b1efe3e1e638c7a2cac1",
+    ("B", "l1", "float"): "5064fa2a598a54dea7c3d03a3dde1de4e7a5a082cd75c0298659c3126e511791",
+    ("B", "linf", "float"): "6841ca6ad0722d9ea13f7ef7a56130c4c6bfb0308d6568630ea64bd52f0d1e18",
+}
+
+
+@pytest.mark.parametrize("relation,norm,backend", sorted(GOLDEN_LAYER_SHA256))
+def test_layer_report_bytes_are_pinned(tmp_path, relation, norm, backend):
+    out = tmp_path / "report.json"
+    argv = ["verify-layer", "--relation", relation, "--seed", "9", "--samples", "15",
+            "--norm", norm, "--backend", backend, "--output", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_LAYER_SHA256[relation, norm, backend]
+
+
+def _nested(depth: int, inner: str, wrap: str) -> str:
+    text = inner
+    for _ in range(depth):
+        text = wrap.format(text)
+    return text
+
+
+def _assert_one_line_error(capsys, fragment: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err and "Traceback" not in err
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize(
+        "inner,wrap,depth",
+        [("(= x x)", "(exists (x) {})", 350), ("(= a a)", "(not {})", 1200)],
+        ids=["exists-evaluator", "not-parser"],
+    )
+    def test_deep_formula_is_a_usage_error(self, tmp_path, capsys, inner, wrap, depth):
+        formula = tmp_path / "deep.txt"
+        formula.write_text(_nested(depth, inner, wrap))
+        points = tmp_path / "pts.json"
+        points.write_text(json.dumps([{"x": "0", "y": "0"}]))
+        assert main(["eval", "--formula", str(formula), "--points", str(points)]) == 2
+        _assert_one_line_error(capsys, "recursion limit")
+
+    def test_deep_layer_is_a_usage_error(self, capsys):
+        argv = ["verify-layer", "--relation", "DELTA:400", "--norm", "l1", "--seed", "1", "--samples", "2"]
+        assert main(argv) == 2
+        _assert_one_line_error(capsys, "recursion limit")
+
+    def test_deep_expansion_is_a_usage_error(self, capsys):
+        assert main(["expand", "--relation", "DELTA:2000"]) == 2
+        _assert_one_line_error(capsys, "recursion limit")
+
+
+class TestNonFiniteTolerance:
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_layer_check_refuses(self, capsys, tolerance):
+        argv = ["verify-layer", "--relation", "LE", "--norm", "l2", "--backend", "float",
+                "--tolerance", tolerance, "--seed", "1", "--samples", "40"]
+        assert main(argv) == 2
+        _assert_one_line_error(capsys, "finite")
+
+    def test_eval_and_axioms_refuse(self, tmp_path, capsys):
+        points = tmp_path / "pts.json"
+        points.write_text(json.dumps([{"x": "0", "y": "0"}, {"x": "1", "y": "0"}]))
+        argv = ["eval", "--formula", "(equi a b a b)", "--points", str(points),
+                "--backend", "float", "--tolerance", "nan"]
+        assert main(argv) == 2
+        _assert_one_line_error(capsys, "finite")
+        argv = ["check-axioms", "--axiom", "a", "--backend", "float", "--tolerance", "nan",
+                "--seed", "1", "--samples", "20"]
+        assert main(argv) == 2
+        _assert_one_line_error(capsys, "finite")
+
+
+class TestChainCap:
+    def test_cap_reaches_axiom_i_inside_the_suite(self, tmp_path):
+        suite, single = tmp_path / "all.json", tmp_path / "i.json"
+        sizes = ["--samples", "20", "--constructions", "40", "--norm", "l1", "--chain-cap", "3"]
+        assert main(["check-axioms", "--axiom", "all", "--seed", "5", "--output", str(suite)] + sizes) == 0
+        assert main(["check-axioms", "--axiom", "i", "--seed", "11", "--output", str(single)] + sizes) == 0
+        by_axiom = {rep["axiom"]: rep for rep in json.loads(suite.read_text())}
+        assert by_axiom["i"] == json.loads(single.read_text())[0]
+
+    def test_cap_below_two_is_a_usage_error(self, capsys):
+        assert main(["check-axioms", "--axiom", "i", "--chain-cap", "1", "--seed", "1"]) == 2
+        _assert_one_line_error(capsys, "got 1")
+
+
 class TestHelp:
     def test_every_flag_documents_its_default(self):
         parser = build_parser()

@@ -1,9 +1,12 @@
+import inspect
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from equitower import Point, TruncationParams
+from equitower import L1, Point, Space, TruncationParams
+from equitower.closure import closure_for_relation
 from equitower.formulas.ast import (
     And,
     AtomEq,
@@ -21,8 +24,9 @@ from equitower.formulas.ast import (
 )
 from equitower.formulas.generate import random_formula
 from equitower.formulas.parser import ParseError, parse_formula
-from equitower.formulas.schemas import SchemaError, expand_schema, schema_params
-from equitower.oracles import ALPHA, BETA, DELTA, GAMMA, PSI, RelationId
+from equitower.formulas.schemas import _EXPANSIONS, SchemaError, expand_schema, schema_params
+from equitower.formulas.verify import _SAMPLERS, sample_instance
+from equitower.oracles import ALPHA, BETA, DELTA, GAMMA, PSI, RELATIONS, RelationId
 
 F = Fraction
 
@@ -200,6 +204,20 @@ class TestExpansions:
             expand_schema(RelationId("PARALLELOGRAM"), TruncationParams())
         with pytest.raises(SchemaError):
             schema_params(RelationId("PARALLELOGRAM"))
+
+    def test_layer_tables_agree_with_the_relation_table(self):
+        recipes = set(re.findall(r'"([A-Z][A-Z0-9]*)"', inspect.getsource(closure_for_relation)))
+        assert set(_EXPANSIONS) | set(_SAMPLERS) | recipes <= set(RELATIONS)
+        trunc = TruncationParams()
+        space = Space(L1, "exact")
+        rng = random.Random(5)
+        for name, spec in RELATIONS.items():
+            rel = RelationId(name, (2,) * spec.n_indices)
+            if name in _EXPANSIONS:
+                assert set(free_point_vars(expand_schema(rel, trunc))) <= set(spec.params), name
+            if name in _SAMPLERS:
+                for _ in range(20):
+                    assert len(sample_instance(space, rng, rel, trunc)) == rel.arity(), name
 
     def test_truncation_validation(self):
         with pytest.raises(SchemaError):

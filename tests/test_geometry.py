@@ -230,6 +230,13 @@ class TestSpaceConfig:
         with pytest.raises(GeometryError):
             NormSpec("l7")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tolerances_are_refused(self, bad):
+        with pytest.raises(GeometryError, match="finite"):
+            Space(L2, "float", bad)
+        with pytest.raises(GeometryError, match="finite"):
+            space_from_config({"norm": "l1", "backend": "float", "tolerance": str(bad)})
+
     def test_config_round_trip(self):
         for cfg in (
             {"norm": "l1", "backend": "exact", "tolerance": 0},
