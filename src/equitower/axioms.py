@@ -49,6 +49,7 @@ from .sampling import (
     rand_point,
     rand_positive_fraction,
     rand_unit_fraction,
+    randint,
     rational_distance_triangle,
     scale_vector,
 )
@@ -338,7 +339,7 @@ def check_axiom_i(space: Space, samples: int, seed: int, chain_cap: int = 12) ->
         a = rand_point(space, rng)
         step = rand_nonzero_vector(space, rng)
         x1 = rand_point(space, rng)
-        t_num = rng.randint(0, 4 * (chain_cap - 2))
+        t_num = randint(rng, 0, 4 * (chain_cap - 2))
         t = Fraction(t_num, 4)
         target = p_add(x1, scale_vector(space, step, t))
         xs = [p_add(x1, scale_vector(space, step, Fraction(i))) for i in range(chain_cap + 1)]

@@ -60,7 +60,8 @@ USER_ERRORS = (
 def _add_space_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--norm", default="l2", help="plane norm: l1, l2, linf, or lp:P with rational P > 1")
     parser.add_argument("--backend", default=EXACT, choices=(EXACT, FLOAT), help="scalar backend")
-    parser.add_argument("--tolerance", type=float, default=1e-9, help="float-backend comparison tolerance")
+    parser.add_argument("--tolerance", type=float, default=1e-9,
+                        help="float-backend comparison tolerance (checked, then ignored, on the exact backend)")
 
 
 def _add_trunc_flags(parser: argparse.ArgumentParser) -> None:
@@ -81,8 +82,8 @@ def _space_from_args(args) -> Space:
         norm = NormSpec(name)
     else:
         raise GeometryError(f"bad --norm {args.norm!r}")
-    tolerance = 0.0 if args.backend == EXACT else args.tolerance
-    return Space(norm, args.backend, tolerance)
+    checked = Space(norm, FLOAT, args.tolerance)  # refuses a bad --tolerance even where exact ignores it
+    return checked if args.backend == FLOAT else Space(norm, EXACT)
 
 
 def _trunc_from_args(args) -> TruncationParams:

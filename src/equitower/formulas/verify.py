@@ -45,6 +45,7 @@ from ..sampling import (
     rand_nonzero_vector,
     rand_point,
     rand_unit_fraction,
+    randint,
     scale_vector,
 )
 from .evaluator import ImplMap, _Evaluator, schema_query
@@ -143,10 +144,30 @@ def verify_layer(
 
 def _offset(space: Space, rng: random.Random) -> Point:
     """A small but tolerance-safe perturbation vector."""
-    base = Fraction(rng.randint(1, 9), 8)
+    base = Fraction(randint(rng, 1, 9), 8)
     if space.backend == "float":
         return Point(float(base) * 1e-3, float(base) * 7e-4)
     return Point(base / 64, base / 128)
+
+
+def _degenerate_quadruple(space: Space, rng: random.Random, a: Point, c: Point, d: Point) -> tuple[Point, ...]:
+    """(a, b, c, d) with a null segment ab, cd or both."""
+    pick = rng.random()
+    if pick < 0.34:
+        return a, a, c, d
+    if pick < 0.67:
+        return a, rand_point(space, rng), c, c
+    return a, a, c, c
+
+
+def _degenerate_triple(space: Space, rng: random.Random, a: Point, c: Point) -> tuple[Point, ...]:
+    """(a, b, c) with two of the points equal."""
+    pick = rng.random()
+    if pick < 0.34:
+        return a, a, c
+    if pick < 0.67:
+        return a, c, c
+    return a, rand_point(space, rng), a
 
 
 def sample_instance(
@@ -172,12 +193,7 @@ def _sample_equiv2(space: Space, rng: random.Random, trunc: TruncationParams) ->
         b = p_add(p_add(a, scale_vector(space, w, Fraction(2))), _offset(space, rng))
         return a, b, c, d
     if roll < 0.70:  # degenerate pairs
-        pick = rng.random()
-        if pick < 0.34:
-            return a, a, c, d
-        if pick < 0.67:
-            return a, rand_point(space, rng), c, c
-        return a, a, c, c
+        return _degenerate_quadruple(space, rng, a, c, d)
     return a, rand_point(space, rng), c, d
 
 
@@ -266,21 +282,14 @@ def _sample_gamma(space: Space, rng: random.Random, trunc: TruncationParams) -> 
         return box_path_triple(space, rng)
     if roll < 0.55:  # collinear, strictly outside the segment
         a, _, c = collinear_triple(space, rng)
-        delta = Fraction(rng.randint(1, 8), 16)
+        delta = Fraction(randint(rng, 1, 8), 16)
         t = 1 + delta if rng.random() < 0.5 else -delta
         return a, affine_combination(a, c, t), c
     if roll < 0.65:  # gross perpendicular deviation: defect at least d(a,c)
         a, b, c = collinear_triple(space, rng)
         return a, p_add(b, _perp_offset(space, a, c, Fraction(2))), c
     if roll < 0.75:
-        a = rand_point(space, rng)
-        c = rand_point(space, rng)
-        which = rng.random()
-        if which < 0.34:
-            return a, a, c
-        if which < 0.67:
-            return a, c, c
-        return a, rand_point(space, rng), a
+        return _degenerate_triple(space, rng, rand_point(space, rng), rand_point(space, rng))
     for _ in range(64):
         a, b, c = (rand_point(space, rng) for _ in range(3))
         if space.points_eq(a, b) or space.points_eq(b, c):
@@ -294,12 +303,12 @@ def _staircase_b_triple(space: Space, rng: random.Random, depth: int) -> tuple[P
     """Box-norm triples with zero path defect but off the segment, placed so
     the subdivision tower rejects them by depth ``depth``."""
     a = rand_point(space, rng)
-    total = Fraction(rng.randint(2, 8))
+    total = Fraction(randint(rng, 2, 8))
     if space.norm.kind == "linf":
         # split sits on the dyadic grid: the adjacent chain pair forces a
         # zero-width slot that any nonzero rise escapes
-        level = rng.randint(1, depth)
-        j = rng.randint(1, 2**level - 1)
+        level = randint(rng, 1, depth)
+        j = randint(rng, 1, 2**level - 1)
         split = total * Fraction(j, 2**level)
         rise = min(split, total - split) * rand_unit_fraction(rng)
         b = p_add(a, Point(split, rise))
@@ -308,7 +317,7 @@ def _staircase_b_triple(space: Space, rng: random.Random, depth: int) -> tuple[P
         # l1 rectangle point whose two coordinates straddle the midpoint cell
         u = rand_unit_fraction(rng) / 2
         w = Fraction(1, 2) + rand_unit_fraction(rng) / 2
-        dx, dy = Fraction(rng.randint(1, 6)), Fraction(rng.randint(1, 6))
+        dx, dy = Fraction(randint(rng, 1, 6)), Fraction(randint(rng, 1, 6))
         b = p_add(a, Point(dx * u, dy * w))
         c = p_add(a, Point(dx, dy))
     return a, b, c
@@ -322,24 +331,19 @@ def _sample_b(space: Space, rng: random.Random, trunc: TruncationParams) -> tupl
     a = rand_point(space, rng)
     c = rand_point(space, rng)
     if roll < 0.30:  # on-segment, dyadic grid included
-        num = rng.randint(0, 8)
+        num = randint(rng, 0, 8)
         return a, affine_combination(a, c, Fraction(num, 8)), c
     if roll < 0.45:
         return a, affine_combination(a, c, rand_unit_fraction(rng)), c
     if roll < 0.58:  # collinear but outside
-        t = Fraction(rng.randint(2, 5)) if rng.random() < 0.5 else -rand_unit_fraction(rng)
+        t = Fraction(randint(rng, 2, 5)) if rng.random() < 0.5 else -rand_unit_fraction(rng)
         return a, affine_combination(a, c, t), c
     if roll < 0.72 and space.norm.kind in ("l1", "linf"):
         return _staircase_b_triple(space, rng, trunc.b_depth)
     if roll < 0.86:  # gross off-line deviation: rejected at the first level
         slide = affine_combination(a, c, rand_unit_fraction(rng))
         return a, p_add(slide, _perp_offset(space, a, c, Fraction(2))), c
-    which = rng.random()
-    if which < 0.34:
-        return a, a, c
-    if which < 0.67:
-        return a, c, c
-    return a, rand_point(space, rng), a
+    return _degenerate_triple(space, rng, a, c)
 
 
 def _sample_delta(space: Space, rng: random.Random, trunc: TruncationParams, n: int) -> tuple[Point, ...]:
@@ -384,12 +388,7 @@ def _sample_le(space: Space, rng: random.Random, trunc: TruncationParams) -> tup
         b = p_add(a, scale_vector(space, equal_length_mate(space, rng, v), q))
         return a, b, c, d
     if roll < 0.75:
-        which = rng.random()
-        if which < 0.34:
-            return a, a, c, d
-        if which < 0.67:
-            return a, rand_point(space, rng), c, c
-        return a, a, c, c
+        return _degenerate_quadruple(space, rng, a, c, d)
     return a, rand_point(space, rng), c, d
 
 

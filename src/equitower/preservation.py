@@ -9,13 +9,15 @@ Arbitrary maps are classified by sampling: quadruples biased to contain
 exactly-equal segment pairs check both implication directions, segment
 triples check betweenness transport.  Every entry point draws its samples
 first and then classifies each map in ``_classify``, the one transport
-path.  On the exact backend an affine map is decided on integer
-difference vectors (b-a, d-c for quadruples, b-a, c-a for triples): each
-sample's points are cleared to integers once, translation drops out, and
-the map's linear part is cleared to integers too.  Nonlinear maps and the
-float backend apply the map pointwise and ask ``space.eq_dist`` and
-``oracle_B``.  Sampling can only certify violations (with replayable
-witnesses); "no violation found in n samples" is reported as exactly that.
+path.  Exact samples are drawn as integer rows, coordinates over one
+positive denominator (as in Yap, "Towards exact geometric computation",
+CGTA 1997), and an affine map is decided on their integer difference
+vectors, where translation drops out.  ``Fraction`` points are built from
+a row only for witness records and for nonlinear maps, which, like every
+map on the float backend, are applied pointwise and asked of
+``space.eq_dist`` and ``oracle_B``.  Sampling can only certify violations
+(with replayable witnesses); "no violation found in n samples" is
+reported as exactly that.
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geometry import EXACT, Point, Space, affine_combination, p_add, point_to_record
+from .geometry import EXACT, Point, Space, affine_combination, point_to_record
 from .oracles import oracle_B
 from .sampling import (
     Matrix,
-    equal_length_mate,
+    choice,
     isometry_generators,
     rand_point,
-    rand_unit_fraction,
+    randint,
 )
 from .scalars import format_exact
 
@@ -211,24 +213,13 @@ class PreservationReport:
         }
 
 
-def _quadruple(space: Space, rng: random.Random) -> tuple[Point, Point, Point, Point]:
-    """Half the draws are constructed equal-length pairs: random quadruples
-    essentially never satisfy the relation exactly."""
-    a = rand_point(space, rng)
-    c = rand_point(space, rng)
-    b = rand_point(space, rng)
-    if rng.random() < 0.5:
-        v = Point(b.x - a.x, b.y - a.y)
-        d = p_add(c, equal_length_mate(space, rng, v))
-        return a, b, c, d
-    return a, b, c, rand_point(space, rng)
+_W = math.lcm(*range(1, 9))  # every denominator that rand_point draws divides it
 
 
-def _cleared(*points: Point) -> list[int]:
-    """The points' coordinates times one common positive denominator."""
-    ratios = [q.as_integer_ratio() for p in points for q in p]
-    k = math.lcm(*(den for _, den in ratios))
-    return [num * (k // den) for num, den in ratios]
+def _int_point(rng: random.Random) -> tuple[int, int]:
+    """``rand_point``'s exact draw, as integers over ``_W``."""
+    x = randint(rng, -24, 24) * _W // randint(rng, 1, 8)
+    return x, randint(rng, -24, 24) * _W // randint(rng, 1, 8)
 
 
 # the length (l1, linf) or squared length (l2) of an integer vector
@@ -246,36 +237,56 @@ def _int_between(px: int, py: int, qx: int, qy: int) -> bool:
     return px * qy == py * qx and 0 <= px * qx + py * qy <= qx * qx + qy * qy
 
 
-def _integer_matrix(m: Matrix) -> tuple[int, int, int, int]:
+def _integer_matrix(m: Matrix) -> tuple[int, int, int, int, int]:
+    """The entries of m times their least common denominator k, then k."""
     k = math.lcm(*(q.denominator for q in m))
-    return int(m[0] * k), int(m[1] * k), int(m[2] * k), int(m[3] * k)
+    return (*(q.numerator * (k // q.denominator) for q in m), k)
 
 
 class _Samples(NamedTuple):
-    """Drawn samples in columns: each sample's points, whether the relation
-    holds on them (``pre``), and on the exact backend its two difference
-    vectors scaled to integers by one positive factor (empty on floats)."""
+    """Drawn samples in columns: each sample (float: a tuple of points; exact:
+    an integer row x1, y1, x2, y2, ..., w over one positive denominator w),
+    whether the relation holds on it, and its difference vectors (exact only)."""
 
-    points: list[tuple[Point, ...]]
+    samples: list[tuple]
     pre: list[bool]
     vectors: list[tuple[int, int, int, int]]
 
 
+def _points(space: Space, sample: tuple) -> tuple[Point, ...]:
+    """A sample's points; only here do exact rows become ``Fraction`` points."""
+    if space.backend != EXACT:
+        return sample
+    *coords, w = sample
+    return tuple(Point(Fraction(x, w), Fraction(y, w)) for x, y in zip(coords[::2], coords[1::2]))
+
+
 def _draw_quadruples(space: Space, rng: random.Random, n: int) -> _Samples:
-    """Quadruples (a, b, c, d); ``pre`` is d(a,b) = d(c,d), the vectors are
-    b-a and d-c."""
+    """Quadruples (a, b, c, d), half of them constructed equal-length pairs, which random
+    ones essentially never are; ``pre`` is d(a,b) = d(c,d), the vectors are b-a and d-c."""
     drawn = _Samples([], [], [])
+    exact = space.backend == EXACT
+    point = _int_point if exact else lambda rng: rand_point(space, rng)
+    generators = [_integer_matrix(m) if exact else (*map(float, m), 1) for m in isometry_generators(space)]
     length = _INT_LENGTH.get(space.norm.kind)
     for _ in range(n):
-        a, b, c, d = points = _quadruple(space, rng)
-        drawn.points.append(points)
-        if space.backend == EXACT:
-            ax, ay, bx, by, cx, cy, dx, dy = _cleared(a, b, c, d)
-            ux, uy, vx, vy = vectors = (bx - ax, by - ay, dx - cx, dy - cy)
-            drawn.vectors.append(vectors)
+        (ax, ay), (cx, cy), (bx, by) = point(rng), point(rng), point(rng)
+        ux, uy = bx - ax, by - ay
+        if rng.random() < 0.5:  # d - c is b - a under a generator m/k
+            m11, m12, m21, m22, k = choice(rng, generators)
+            vx, vy = m11 * ux + m12 * uy, m21 * ux + m22 * uy
+            ax, ay, bx, by, cx, cy, ux, uy = (k * v for v in (ax, ay, bx, by, cx, cy, ux, uy))
+            dx, dy, w = cx + vx, cy + vy, k * _W
+        else:
+            (dx, dy), w = point(rng), _W
+            vx, vy = dx - cx, dy - cy
+        if exact:
+            drawn.samples.append((ax, ay, bx, by, cx, cy, dx, dy, w))
+            drawn.vectors.append((ux, uy, vx, vy))
             drawn.pre.append(length(ux, uy) == length(vx, vy))
         else:
-            drawn.pre.append(space.eq_dist(a, b, c, d))
+            drawn.samples.append(points := (Point(ax, ay), Point(bx, by), Point(cx, cy), Point(dx, dy)))
+            drawn.pre.append(space.eq_dist(*points))
     return drawn
 
 
@@ -283,19 +294,21 @@ def _draw_triples(space: Space, rng: random.Random, n: int) -> _Samples:
     """Triples (a, b, c) with b = a + t(c-a), t in [0, 1]; ``pre`` is
     B(a, b, c), the vectors are b-a and c-a."""
     drawn = _Samples([], [], [])
+    exact = space.backend == EXACT
+    point = _int_point if exact else lambda rng: rand_point(space, rng)
     for _ in range(n):
-        a = rand_point(space, rng)
-        c = rand_point(space, rng)
-        t = rng.choice((Fraction(0), Fraction(1), rand_unit_fraction(rng)))
-        b = affine_combination(a, c, t if space.backend == EXACT else float(t))
-        drawn.points.append((a, b, c))
-        if space.backend == EXACT:
-            ax, ay, bx, by, cx, cy = _cleared(a, b, c)
-            vectors = (bx - ax, by - ay, cx - ax, cy - ay)
-            drawn.vectors.append(vectors)
-            drawn.pre.append(_int_between(*vectors))
-        else:
-            drawn.pre.append(oracle_B(space, a, b, c))
+        (ax, ay), (cx, cy) = point(rng), point(rng)
+        den = randint(rng, 2, 16)  # t is drawn as choice((0, 1, rand_unit_fraction(rng)))
+        num, den = choice(rng, ((0, 1), (1, 1), (randint(rng, 1, den - 1), den)))
+        if exact:  # over den * _W, b - a is num * (c - a) and c - a is den * (c - a)
+            px, py, qx, qy = num * (cx - ax), num * (cy - ay), den * (cx - ax), den * (cy - ay)
+            drawn.samples.append((den * ax, den * ay, den * ax + px, den * ay + py, den * cx, den * cy, den * _W))
+            drawn.vectors.append((px, py, qx, qy))
+            drawn.pre.append(_int_between(px, py, qx, qy))
+        else:  # num / den rounds once, as float(Fraction(num, den)) does
+            a, c = Point(ax, ay), Point(cx, cy)
+            drawn.samples.append(points := (a, affine_combination(a, c, num / den), c))
+            drawn.pre.append(oracle_B(space, *points))
     return drawn
 
 
@@ -323,7 +336,7 @@ def _classify(
     """
     if space.backend == EXACT and plane_map.kind == "affine":
         length = _INT_LENGTH[space.norm.kind]
-        m11, m12, m21, m22 = _integer_matrix(plane_map.matrix)
+        m11, m12, m21, m22, _ = _integer_matrix(plane_map.matrix)
         post = [
             length(m11 * ux + m12 * uy, m21 * ux + m22 * uy) == length(m11 * vx + m12 * vy, m21 * vx + m22 * vy)
             for ux, uy, vx, vy in quads.vectors
@@ -334,26 +347,27 @@ def _classify(
         ]
     else:
         apply = _pointwise(plane_map, space.backend)
-        post = [space.eq_dist(apply(a), apply(b), apply(c), apply(d)) for a, b, c, d in quads.points]
-        post_between = [
-            pre and oracle_B(space, apply(a), apply(b), apply(c)) for pre, (a, b, c) in zip(triples.pre, triples.points)
-        ]
-    rep.quadruples += len(quads.points)
-    rep.triples += len(triples.points)
+        post = [space.eq_dist(*map(apply, _points(space, q))) for q in quads.samples]
+        post_between = [pre and oracle_B(space, *map(apply, _points(space, t))) for pre, t in zip(triples.pre, triples.samples)]
+    rep.quadruples += len(quads.samples)
+    rep.triples += len(triples.samples)
     # a map that changes no answer, as every similarity, records nothing
+    first: dict[str, tuple] = {}  # the first violating sample of each kind
     if post != quads.pre:
-        for pre, post_q, points in zip(quads.pre, post, quads.points):
+        for pre, post_q, sample in zip(quads.pre, post, quads.samples):
             if pre and not post_q:
                 rep.forward_violations += 1
-                rep.first_witnesses.setdefault("forward", [point_to_record(space, p) for p in points])
+                first.setdefault("forward", sample)
             elif post_q and not pre:
                 rep.backward_violations += 1
-                rep.first_witnesses.setdefault("backward", [point_to_record(space, p) for p in points])
+                first.setdefault("backward", sample)
     if post_between != triples.pre:
-        for pre, post_t, points in zip(triples.pre, post_between, triples.points):
+        for pre, post_t, sample in zip(triples.pre, post_between, triples.samples):
             if pre and not post_t:
                 rep.b_violations += 1
-                rep.first_witnesses.setdefault("betweenness", [point_to_record(space, p) for p in points])
+                first.setdefault("betweenness", sample)
+    for kind, sample in first.items():
+        rep.first_witnesses.setdefault(kind, [point_to_record(space, p) for p in _points(space, sample)])
     return rep
 
 

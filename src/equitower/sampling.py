@@ -13,7 +13,8 @@ of the supported norms:
   a common height gives triples of points whose pairwise Euclidean
   distances are all rational, so ray constructions scale rationally.
 
-All sampling is driven by a caller-supplied ``random.Random``.
+All sampling is driven by a caller-supplied ``random.Random`` through
+``randint`` and ``choice``, which keep its own ``randint``/``choice`` stream.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ from .geometry import Point, Space, affine_combination, p_add
 Matrix = tuple[Fraction, Fraction, Fraction, Fraction]  # row-major 2x2
 
 IDENTITY: Matrix = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-
-
-def apply_matrix(m: Matrix, v: Point) -> Point:
-    return Point(m[0] * v.x + m[1] * v.y, m[2] * v.x + m[3] * v.y)
 
 
 def rational_rotation(leg_a: int, leg_b: int) -> Matrix:
@@ -66,6 +63,22 @@ L2_GENERATORS: tuple[Matrix, ...] = (
 )
 
 
+def randint(rng: random.Random, a: int, b: int) -> int:
+    """``rng.randint(a, b)`` on the same stream: like CPython, draw n.bit_length()
+    bits until they fall below n = b - a + 1, but skip its argument checks."""
+    n = b - a + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
+def choice(rng: random.Random, seq):
+    """``rng.choice(seq)`` on the same stream: an index drawn by ``randint``."""
+    return seq[randint(rng, 0, len(seq) - 1)]
+
+
 def isometry_generators(space: Space) -> tuple[Matrix, ...]:
     if space.norm.kind == "l2":
         return L2_GENERATORS
@@ -73,25 +86,25 @@ def isometry_generators(space: Space) -> tuple[Matrix, ...]:
 
 
 def rand_fraction(rng: random.Random, span: int = 24, max_den: int = 8) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+    return Fraction(randint(rng, -span, span), randint(rng, 1, max_den))
 
 
 def rand_positive_fraction(rng: random.Random, span: int = 12, max_den: int = 8) -> Fraction:
-    return Fraction(rng.randint(1, span), rng.randint(1, max_den))
+    return Fraction(randint(rng, 1, span), randint(rng, 1, max_den))
 
 
 def rand_unit_fraction(rng: random.Random, max_den: int = 16) -> Fraction:
     """A rational strictly inside (0, 1)."""
-    den = rng.randint(2, max_den)
-    return Fraction(rng.randint(1, den - 1), den)
+    den = randint(rng, 2, max_den)
+    return Fraction(randint(rng, 1, den - 1), den)
 
 
 def rand_point(space: Space, rng: random.Random, span: int = 24, max_den: int = 8) -> Point:
     """A point with coordinates drawn as by ``rand_fraction``; on floats the
     int division rounds correctly, so it equals ``float(rand_fraction(...))``."""
     if space.backend == "float":
-        x = rng.randint(-span, span) / rng.randint(1, max_den)
-        return Point(x, rng.randint(-span, span) / rng.randint(1, max_den))
+        x = randint(rng, -span, span) / randint(rng, 1, max_den)
+        return Point(x, randint(rng, -span, span) / randint(rng, 1, max_den))
     x = rand_fraction(rng, span, max_den)
     return Point(x, rand_fraction(rng, span, max_den))
 
@@ -103,16 +116,12 @@ def rand_nonzero_vector(space: Space, rng: random.Random, span: int = 12) -> Poi
             return v
 
 
-def rand_isometry(space: Space, rng: random.Random) -> Matrix:
-    return rng.choice(isometry_generators(space))
-
-
 def equal_length_mate(space: Space, rng: random.Random, v: Point) -> Point:
     """A vector of exactly the same norm as v (exact even on floats up to rounding)."""
-    m = rand_isometry(space, rng)
+    m = choice(rng, isometry_generators(space))
     if space.backend == "float":
-        return Point(float(m[0]) * v.x + float(m[1]) * v.y, float(m[2]) * v.x + float(m[3]) * v.y)
-    return apply_matrix(m, v)
+        m = tuple(map(float, m))
+    return Point(m[0] * v.x + m[1] * v.y, m[2] * v.x + m[3] * v.y)
 
 
 def scale_vector(space: Space, v: Point, q: Fraction) -> Point:
@@ -131,8 +140,8 @@ def rational_distance_triangle(
     vector.  Degenerate (collinear) outputs are possible and legal.
     """
     r = rand_positive_fraction(rng, span=span, max_den=4)
-    t1 = Fraction(rng.randint(1, 5), rng.randint(1, 5))
-    t2 = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+    t1 = Fraction(randint(rng, 1, 5), randint(rng, 1, 5))
+    t2 = Fraction(randint(rng, 1, 5), randint(rng, 1, 5))
     # (x, h) at rational distance r from the origin
     x = r * (1 - t1 * t1) / (1 + t1 * t1)
     h = r * 2 * t1 / (1 + t1 * t1)
@@ -148,11 +157,6 @@ def rational_distance_triangle(
     return b, a, c, r, u, abs(lam)
 
 
-def segment_point(space: Space, rng: random.Random, a: Point, c: Point) -> Point:
-    """A point strictly inside segment ac (rational parameter)."""
-    return affine_combination(a, c, rand_unit_fraction(rng))
-
-
 def collinear_triple(space: Space, rng: random.Random) -> tuple[Point, Point, Point]:
     """a, b, c with b strictly inside segment ac and a != c."""
     a = rand_point(space, rng)
@@ -160,7 +164,7 @@ def collinear_triple(space: Space, rng: random.Random) -> tuple[Point, Point, Po
         c = rand_point(space, rng)
         if not space.points_eq(a, c):
             break
-    return a, segment_point(space, rng, a, c), c
+    return a, affine_combination(a, c, rand_unit_fraction(rng)), c
 
 
 def box_path_triple(space: Space, rng: random.Random) -> tuple[Point, Point, Point]:

@@ -149,6 +149,36 @@ def test_vogt_report_bytes_are_pinned(tmp_path, norm, backend):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_VOGT_SHA256[norm, backend]
 
 
+# A map file with a nonlinear map, a shear with a nonzero shift and one
+# similarity: its reports carry forward and betweenness witness records and
+# the images of nonlinear maps, which the built-in suite pins do not cover.
+VOGT_MAP_FILE = [
+    {"kind": "nonlinear", "family": "square_shift", "label": "square_shift", "expect": "violating"},
+    {"kind": "affine", "matrix": ["1", "1", "0", "1"], "shift": ["3", "-1/2"], "label": "shear+shift",
+     "expect": "violating"},
+    {"kind": "affine", "matrix": ["0", "-2", "2", "0"], "shift": ["5/3", "1"], "label": "similarity",
+     "expect": "bidirectional-preserving"},
+]
+# SHA-256 of `vogt --maps FILE --seed 42 --quadruples 150 --triples 100 --output FILE`.
+GOLDEN_VOGT_MAPS_SHA256 = {
+    ("l1", "exact"): "fb2a3484d9a4fef4c854efc0c534c7ca5257047ea2cc0a016a159565f95ace3d",
+    ("l2", "exact"): "cf91df852f7eea302e0765fc5921d0e737bfcc87fc9796040dfec0c79fcd1584",
+    ("l2", "float"): "46d8b3ba35d4e4fbd6f1c984ad0cd7e98fbcd78e3e1eba0375c3ba2803b09b17",
+}
+
+
+@pytest.mark.parametrize("norm,backend", sorted(GOLDEN_VOGT_MAPS_SHA256))
+def test_vogt_map_file_report_bytes_are_pinned(tmp_path, norm, backend):
+    maps, out = tmp_path / "maps.json", tmp_path / "vogt.json"
+    maps.write_text(json.dumps(VOGT_MAP_FILE))
+    argv = ["vogt", "--maps", str(maps), "--seed", "42", "--quadruples", "150", "--triples", "100",
+            "--norm", norm, "--backend", backend, "--output", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text())
+    assert [sorted(m["first_witnesses"]) for m in report["maps"]] == [["betweenness", "forward"], ["forward"], []]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_VOGT_MAPS_SHA256[norm, backend]
+
+
 # SHA-256 of the seeded reports of the layers and the axiom that build
 # l1/linf sphere meets: `verify-layer --seed 5 --samples 40` and
 # `check-axioms --axiom g --seed 5 --constructions 400` on the exact backend.
@@ -305,6 +335,29 @@ class TestNonFiniteTolerance:
                 "--seed", "1", "--samples", "20"]
         assert main(argv) == 2
         _assert_one_line_error(capsys, "finite")
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-9"])
+    def test_exact_backend_refuses_what_it_ignores(self, tmp_path, capsys, tolerance):
+        points = tmp_path / "pts.json"
+        points.write_text(json.dumps([{"x": "0", "y": "0"}, {"x": "1", "y": "0"}]))
+        argv = ["eval", "--formula", "(equi a b a b)", "--points", str(points), f"--tolerance={tolerance}"]
+        assert main(argv) == 2
+        _assert_one_line_error(capsys, "finite and nonnegative")
+        argv = ["vogt", "--seed", "1", "--quadruples", "5", "--triples", "5", "--norm", "l1",
+                f"--tolerance={tolerance}"]
+        assert main(argv) == 2
+        _assert_one_line_error(capsys, "finite and nonnegative")
+
+    def test_exact_backend_ignores_a_valid_tolerance(self, tmp_path, capsys):
+        points = tmp_path / "pts.json"
+        points.write_text(json.dumps([{"x": "0", "y": "0"}, {"x": "1", "y": "0"}]))
+        for tolerance in ("0", "0.25"):
+            argv = ["eval", "--formula", "(equi a b a b)", "--points", str(points), "--tolerance", tolerance]
+            assert main(argv) == 0
+        assert capsys.readouterr().out == "true\ntrue\n"
+        with pytest.raises(SystemExit):
+            main(["eval", "--help"])
+        assert "ignored, on the exact backend" in " ".join(capsys.readouterr().out.split())
 
 
 class TestChainCap:
