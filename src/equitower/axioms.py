@@ -342,7 +342,7 @@ def check_axiom_i(space: Space, samples: int, seed: int, chain_cap: int = 12) ->
         t_num = randint(rng, 0, 4 * (chain_cap - 2))
         t = Fraction(t_num, 4)
         target = p_add(x1, scale_vector(space, step, t))
-        xs = [p_add(x1, scale_vector(space, step, Fraction(i))) for i in range(chain_cap + 1)]
+        xs = [p_add(x1, scale_vector(space, step, i)) for i in range(chain_cap + 1)]
         rung = Point(-step.y, step.x)
         ys = [p_add(x, rung) for x in xs]
         if not (oracle_B(space, x1, xs[1], target) or oracle_B(space, x1, target, xs[1])):

@@ -78,7 +78,7 @@ def close_for_alpha_beta(
     """Ray multiples a + i(b-a) for i <= n and dyadic points a + 2^(-j)(b-a) for j <= k."""
     if space.points_eq(a, b):
         raise GeometryError("alpha/beta closure needs a != b")
-    pts = [affine_combination(a, b, Fraction(i)) for i in range(0, n + 1)]
+    pts = [affine_combination(a, b, i) for i in range(0, n + 1)]
     pts.extend(affine_combination(a, b, Fraction(1, 2**j)) for j in range(0, k + 1))
     return Universe(space, [a, b], size_cap=size_cap).add(pts, TAG_CHAIN)
 
@@ -170,7 +170,7 @@ def _refuter_points(
         x, y = points
         if space.points_eq(x, y):
             return [Point(x.x + 1, x.y)]
-        return [affine_combination(x, y, Fraction(chain_max + 1))]
+        return [affine_combination(x, y, chain_max + 1)]
     raise GeometryError(f"no refuter recipe for {rel.label()}")
 
 

@@ -185,11 +185,11 @@ def _sample_equiv2(space: Space, rng: random.Random, trunc: TruncationParams) ->
     d = rand_point(space, rng)
     a = rand_point(space, rng)
     if roll < 0.45:  # constructed positive: d(a,b) = 2 d(c,d)
-        w = equal_length_mate(space, rng, (Point(d.x - c.x, d.y - c.y)))
+        w = equal_length_mate(space, rng, p_sub(d, c))
         b = p_add(a, scale_vector(space, w, Fraction(2)))
         return a, b, c, d
     if roll < 0.55:  # near-miss
-        w = equal_length_mate(space, rng, Point(d.x - c.x, d.y - c.y))
+        w = equal_length_mate(space, rng, p_sub(d, c))
         b = p_add(p_add(a, scale_vector(space, w, Fraction(2))), _offset(space, rng))
         return a, b, c, d
     if roll < 0.70:  # degenerate pairs
@@ -377,7 +377,7 @@ def _sample_le(space: Space, rng: random.Random, trunc: TruncationParams) -> tup
     c = rand_point(space, rng)
     d = rand_point(space, rng)
     a = rand_point(space, rng)
-    v = Point(d.x - c.x, d.y - c.y)
+    v = p_sub(d, c)
     roll = rng.random()
     if roll < 0.40:
         q = Fraction(1) if rng.random() < 0.2 else rand_unit_fraction(rng)

@@ -5,20 +5,17 @@ equidistance (``equidistant``): segment ab is as long as segment cd.  All
 other comparisons offered here (scaled equality, length order, two-leg path
 equality) exist for oracles, witness construction, and axiom checking.
 
-Every ``Space`` holds one comparison kernel chosen by its norm and backend
-(:mod:`equitower.kernel`): exact l1, exact linf, exact l2, or float.  An
-exact kernel reads each coordinate's numerator and denominator once and
-compares without building a ``Fraction``: a length is an integer pair
-``(num, den)`` (the l1 or linf length, or the squared l2 length), two
-lengths compare by cross-multiplication (``n1*d2 == n2*d1``), and a
-rational scale ``qn/qd`` enters the same way, squared on l2.  The float
-kernel compares doubles under the space's tolerance.  The kernel also
-gives the length values that constructions need (``length_value``,
-``length_ratio``, ``length_is``).
+An exact point is an :class:`ExactPoint`, normalised integers (X, Y, W)
+with x = X/W and y = Y/W, fixed once when the point is built (as in Yap,
+"Towards exact geometric computation", CGTA 1997): comparing and hashing
+points, ``p_add``, ``p_sub``, ``affine_combination``, ``midpoint`` and the
+comparison kernels (:mod:`equitower.kernel`, one per norm and backend) all
+work on those integers.  ``Fraction``s appear only at the edges:
+``Point(x, y)`` from rationals, ``.x``/``.y`` reads, and records.
 
 Where two spheres meet is decided in one place.  For l1 and linf, on both
-backends, :func:`sphere_meets` clears centres and radii to integers and
-reads the meeting points off a 4x4 grid of pinned coordinates;
+backends, :func:`sphere_meets` brings centres and radii over one integer
+denominator and reads the meeting points off a 4x4 grid of pinned coordinates;
 :func:`sphere_intersection_point` returns one of them in a fixed edge
 order.  Float l2 has a closed formula and float lp a numeric solve; exact
 l2 constructions are refused, since their points are irrational in general.
@@ -27,12 +24,12 @@ l2 constructions are refused, since their points are irrational in general.
 from __future__ import annotations
 
 import math
-import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
-from .kernel import ExactKernel, FloatKernel, kernel_for
+from .kernel import ExactKernel, FloatKernel, kernel_for, sq_length
 from .scalars import Rad, format_exact, parse_exact
 
 Scalar = Union[Fraction, float]
@@ -63,16 +60,75 @@ class SolverError(GeometryError):
     """A numeric witness construction did not converge to tolerance."""
 
 
-class Point(NamedTuple):
-    x: Scalar
-    y: Scalar
+_XYW = namedtuple("_XYW", "X Y W")
+
+
+class Point(namedtuple("Point", "x y")):
+    """A point of the plane.  ``Point(x, y)`` builds an :class:`ExactPoint`
+    from ``int`` and ``Fraction`` coordinates; with a float coordinate the
+    point is the pair ``(x, y)`` itself, as the float backend uses it."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, y):
+        if isinstance(x, float) or isinstance(y, float):
+            return _new(Point, (x, y))
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
+        if xd == yd:
+            return _new(ExactPoint, (xn, yn, xd))
+        # reduced coordinates over the lcm of their denominators share no factor
+        w = xd * yd // math.gcd(xd, yd)
+        return _new(ExactPoint, (xn * (w // xd), yn * (w // yd), w))
+
+
+class ExactPoint(Point):
+    """A rational point stored as normalised integers (X, Y, W): x = X/W,
+    y = Y/W, W > 0 and gcd(X, Y, W) = 1, so that points are equal, and hash
+    alike, exactly when their triples are.  ``ExactPoint(X, Y, W)``
+    normalises integers with W > 0.  As a sequence the point is ``(x, y)``,
+    two ``Fraction``s."""
+
+    __slots__ = ()
+    X, Y, W = _XYW.X, _XYW.Y, _XYW.W  # C-level getters of the stored triple
+
+    def __new__(cls, x: int, y: int, w: int):
+        g = math.gcd(x, y, w)
+        return _new(cls, (x, y, w) if g == 1 else (x // g, y // g, w // g))
+
+    x = property(lambda self: Fraction(self.X, self.W))
+    y = property(lambda self: Fraction(self.Y, self.W))
+
+    def __iter__(self):
+        return iter((self.x, self.y))
+
+    def __len__(self) -> int:
+        return 2
+
+    def __getitem__(self, index):
+        return (self.x, self.y)[index]
+
+    def __getnewargs__(self):
+        return self.X, self.Y, self.W
+
+    def __repr__(self) -> str:
+        return f"Point(x={self.x!r}, y={self.y!r})"
+
+
+_new = tuple.__new__
 
 
 def p_add(a: Point, b: Point) -> Point:
+    if type(a) is ExactPoint and type(b) is ExactPoint:
+        aw, bw = a.W, b.W
+        return ExactPoint(a.X * bw + b.X * aw, a.Y * bw + b.Y * aw, aw * bw)
     return Point(a.x + b.x, a.y + b.y)
 
 
 def p_sub(a: Point, b: Point) -> Point:
+    if type(a) is ExactPoint and type(b) is ExactPoint:
+        aw, bw = a.W, b.W
+        return ExactPoint(a.X * bw - b.X * aw, a.Y * bw - b.Y * aw, aw * bw)
     return Point(a.x - b.x, a.y - b.y)
 
 
@@ -82,11 +138,20 @@ def cross(u: Point, v: Point) -> Scalar:
 
 def affine_combination(a: Point, b: Point, t: Scalar) -> Point:
     """The point a + t*(b - a); exact when inputs and t are rational."""
+    if type(a) is ExactPoint and type(b) is ExactPoint and not isinstance(t, float):
+        tn, td = t.as_integer_ratio()
+        aw, bw = a.W, b.W
+        ax, ay = a.X * bw, a.Y * bw  # a over aw * bw
+        return ExactPoint(ax * td + tn * (b.X * aw - ax), ay * td + tn * (b.Y * aw - ay), aw * bw * td)
+    t = float(t)  # what mixed Fraction-float arithmetic would convert on every product
     return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
 
 
 def midpoint(a: Point, b: Point) -> Point:
-    return affine_combination(a, b, Fraction(1, 2))
+    if type(a) is ExactPoint and type(b) is ExactPoint:
+        aw, bw = a.W, b.W
+        return ExactPoint(a.X * bw + b.X * aw, a.Y * bw + b.Y * aw, 2 * aw * bw)
+    return Point(a.x + 0.5 * (b.x - a.x), a.y + 0.5 * (b.y - a.y))
 
 
 @dataclass(frozen=True)
@@ -148,7 +213,8 @@ class Space:
     decided on squared distances, which stay rational).  lp with
     p outside {1, 2, inf} is float-only.  Tolerance must be 0 on the exact
     backend; on floats all comparisons use
-    ``|u - v| <= tolerance * max(1, |u|, |v|)``.
+    ``|u - v| <= tolerance * max(1, |u|, |v|)``, and the tolerance must lie
+    in [0, 1): from 1 on, every two lengths would compare equal.
 
     ``kernel`` is the comparison kernel for the norm and backend, derived
     in ``__post_init__``; it takes no part in equality, hashing or repr.
@@ -167,9 +233,11 @@ class Space:
                 raise GeometryError("lp norms are float-only; no exact backend")
             if self.tolerance != 0:
                 raise GeometryError("exact backend uses zero tolerance")
-        else:
-            if not 0 <= self.tolerance < math.inf:
-                raise GeometryError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
+        elif not 0 <= self.tolerance < math.inf:
+            raise GeometryError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
+        elif self.tolerance >= 1:
+            # |u - v| <= tol * max(1, |u|, |v|) then holds for any two lengths
+            raise GeometryError(f"tolerance must be below 1, got {self.tolerance}: every two lengths would compare equal")
         object.__setattr__(self, "kernel", kernel_for(self.norm, self.backend, self.tolerance))
 
     # ------------------------------------------------------------------
@@ -182,8 +250,11 @@ class Space:
         return Point(float(x), float(y))
 
     def check_point(self, p: Point) -> Point:
-        want = Fraction if self.backend == EXACT else float
-        if not (isinstance(p.x, (want, int)) and isinstance(p.y, (want, int))):
+        if self.backend == EXACT:
+            ok = type(p) is ExactPoint
+        else:  # floats take integer coordinates too
+            ok = type(p) is Point or (type(p) is ExactPoint and p.W == 1)
+        if not ok:
             raise BackendMismatchError(
                 f"point {p!r} does not match backend {self.backend!r}"
             )
@@ -197,6 +268,8 @@ class Space:
     # ------------------------------------------------------------------
 
     def sq_dist(self, a: Point, b: Point) -> Fraction:
+        if self.backend == EXACT:
+            return Fraction(*sq_length(a, b))
         dx, dy = a.x - b.x, a.y - b.y
         return dx * dx + dy * dy
 
@@ -341,7 +414,7 @@ def _edge_spots(u: int, v: int, radius: int) -> list[tuple[int, int]]:
 def _box_meets(space: Space, c: Point, radius_c, d: Point, radius_d) -> list[tuple[tuple, Point]]:
     """(edge key, point) for every point where two l1 or linf spheres meet.
 
-    Centres and radii are cleared to one integer denominator and l1 is
+    Centres and radii are brought over one integer denominator and l1 is
     rotated into the square frame, where both balls are axis-parallel
     squares.  Every crossing of two square edges, and every end of an
     overlap of two parallel edges, pins one coordinate to a side of each
@@ -352,18 +425,20 @@ def _box_meets(space: Space, c: Point, radius_c, d: Point, radius_d) -> list[tup
     exact rationals too, but rounded: their tolerant annulus may miss the
     exact one, so the second radius is clamped into [|R - g|, R + g] first.
     """
-    args = (c.x, c.y, d.x, d.y, radius_c, radius_d)
-    ratios = [q.as_integer_ratio() for q in args]
-    den = math.lcm(*(qd for _, qd in ratios))
-    cx, cy, dx, dy, big, small = (qn * (den // qd) for qn, qd in ratios)
+    exact = space.backend == EXACT
+    if not exact:  # a double is a binary fraction: take its exact value
+        c, d = (Point(Fraction(p.x), Fraction(p.y)) for p in (c, d))
+    (pn, pd), (rn, rd) = radius_c.as_integer_ratio(), radius_d.as_integer_ratio()
+    den = math.lcm(c.W, d.W, pd, rd)
+    cx, cy, dx, dy = (v * (den // p.W) for p in (c, d) for v in (p.X, p.Y))
+    big, small = pn * (den // pd), rn * (den // rd)
     kind = space.norm.kind
     if kind == "l1":
         cx, cy, dx, dy = cx + cy, cx - cy, dx + dy, dx - dy
     gx, gy = dx - cx, dy - cy
-    if space.backend == FLOAT:
+    if not exact:
         gap = max(abs(gx), abs(gy))
         small = min(max(small, abs(big - gap)), big + gap)
-    scalar = Fraction if space.backend == EXACT else operator.truediv
     out: list[tuple[tuple, Point]] = []
     seen: set = set()
     for u in (big, -big, gx + small, gx - small):
@@ -376,11 +451,10 @@ def _box_meets(space: Space, c: Point, radius_c, d: Point, radius_d) -> list[tup
             key = min(
                 (kc, kd, at) for kc, at in _edge_spots(*spot_c, big) for kd, _ in _edge_spots(*spot_d, small)
             )
-            x, y = cx + u, cy + v
+            x, y, w = cx + u, cy + v, den
             if kind == "l1":
-                out.append((key, Point(scalar(x + y, 2 * den), scalar(x - y, 2 * den))))
-            else:
-                out.append((key, Point(scalar(x, den), scalar(y, den))))
+                x, y, w = x + y, x - y, 2 * den
+            out.append((key, ExactPoint(x, y, w) if exact else Point(x / w, y / w)))
     return out
 
 

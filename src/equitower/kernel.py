@@ -4,11 +4,13 @@ There is one kernel per norm and backend: exact l1, exact linf, exact l2,
 or float (any norm).  ``kernel_for`` picks it; ``Space`` holds it and
 validates the arguments before calling it.
 
-An exact kernel reads each coordinate's numerator and denominator once and
-never builds a ``Fraction`` on the comparison path.  A length is an integer
-pair ``(num, den)`` with ``den > 0``: the l1 or linf length, or the squared
-l2 length.  Two lengths compare by cross-multiplication (``n1*d2 == n2*d1``),
-and a rational scale ``qn/qd`` enters the same way, squared on l2.  Sums of
+An exact kernel reads the integers (X, Y, W) of each
+:class:`~equitower.geometry.ExactPoint` and never builds a ``Fraction`` on
+the comparison path.  A length is an integer pair ``(num, den)`` with
+``den > 0``: the l1 or linf length, or the squared l2 length, over the
+product of the two points' denominators.  Two lengths compare by
+cross-multiplication (``n1*d2 == n2*d1``), and a rational scale ``qn/qd``
+enters the same way, squared on l2.  Sums of
 l2 lengths are decided by squaring out the radicals: on integers for
 ``path_sum_eq``, through :func:`equitower.scalars.cmp_radical_sums` for
 ``path_defect_at_most``.  The float kernel compares doubles with
@@ -19,9 +21,10 @@ d(a,b), the ratio d(a,b)/d(c,d), and the test d(a,b) = r.  Exact kernels
 give ``Fraction``s (an exact l2 length or ratio is the rational root of
 the squared one, or ``None`` when that root is irrational) and test
 d(a,b) = r on integers, squared on l2; the float kernel gives doubles.
+The exact kernels also decide collinearity and affine betweenness on
+integer difference vectors.
 
-Points are only read through ``.x``/``.y``; exact coordinates may be
-``Fraction`` or ``int``.
+The float kernel reads points through ``.x``/``.y``.
 """
 
 from __future__ import annotations
@@ -43,13 +46,29 @@ def _rational_root(n: int, d: int) -> Fraction | None:
     return Fraction(root, d) if root * root == n * d else None
 
 
-def _gaps(a: Point, b: Point) -> tuple[int, int, int, int]:
-    """|a.x - b.x| = xn/xd and |a.y - b.y| = yn/yd as integers, xd, yd > 0."""
-    axn, axd = a.x.as_integer_ratio()
-    bxn, bxd = b.x.as_integer_ratio()
-    ayn, ayd = a.y.as_integer_ratio()
-    byn, byd = b.y.as_integer_ratio()
-    return abs(axn * bxd - bxn * axd), axd * bxd, abs(ayn * byd - byn * ayd), ayd * byd
+def sq_length(a: Point, b: Point) -> tuple[int, int]:
+    """The squared Euclidean length of ab as integers (num, den), den > 0."""
+    aw, bw = a.W, b.W
+    dx, dy, w = a.X * bw - b.X * aw, a.Y * bw - b.Y * aw, aw * bw
+    return dx * dx + dy * dy, w * w
+
+
+def _vectors(a: Point, b: Point, c: Point) -> tuple[int, int, int, int]:
+    """b - a and c - a as integer vectors over one positive denominator."""
+    ax, ay, aw, bw, cw = a.X, a.Y, a.W, b.W, c.W
+    return (
+        (b.X * aw - ax * bw) * cw,
+        (b.Y * aw - ay * bw) * cw,
+        (c.X * aw - ax * cw) * bw,
+        (c.Y * aw - ay * cw) * bw,
+    )
+
+
+def int_between(px: int, py: int, qx: int, qy: int) -> bool:
+    """p = t*q for some t in [0, 1]; with p = b-a and q = c-a, b lies on ac."""
+    if qx == 0 and qy == 0:
+        return px == 0 and py == 0
+    return px * qy == py * qx and 0 <= px * qx + py * qy <= qx * qx + qy * qy
 
 
 class ExactKernel:
@@ -61,11 +80,19 @@ class ExactKernel:
 
     squared = False
 
-    def points_eq(self, a: Point, b: Point) -> bool:
-        return (
-            a.x.as_integer_ratio() == b.x.as_integer_ratio()
-            and a.y.as_integer_ratio() == b.y.as_integer_ratio()
-        )
+    @staticmethod
+    def points_eq(a: Point, b: Point) -> bool:
+        return a == b  # normalised triples
+
+    @staticmethod
+    def collinear(a: Point, b: Point, c: Point) -> bool:
+        ux, uy, vx, vy = _vectors(a, b, c)
+        return ux * vy == uy * vx
+
+    @staticmethod
+    def between(a: Point, b: Point, c: Point) -> bool:
+        """b = a + t(c - a) for some t in [0, 1]."""
+        return int_between(*_vectors(a, b, c))
 
     def eq_dist(self, a: Point, b: Point, c: Point, d: Point) -> bool:
         n1, d1 = self.length(a, b)
@@ -158,26 +185,20 @@ class _BoxKernel(ExactKernel):
 class _ExactL1Kernel(_BoxKernel):
     @staticmethod
     def length(a: Point, b: Point) -> tuple[int, int]:
-        xn, xd, yn, yd = _gaps(a, b)
-        return xn * yd + yn * xd, xd * yd
+        aw, bw = a.W, b.W
+        return abs(a.X * bw - b.X * aw) + abs(a.Y * bw - b.Y * aw), aw * bw
 
 
 class _ExactLinfKernel(_BoxKernel):
     @staticmethod
     def length(a: Point, b: Point) -> tuple[int, int]:
-        xn, xd, yn, yd = _gaps(a, b)
-        return (xn, xd) if xn * yd >= yn * xd else (yn, yd)
+        aw, bw = a.W, b.W
+        return max(abs(a.X * bw - b.X * aw), abs(a.Y * bw - b.Y * aw)), aw * bw
 
 
 class _ExactL2Kernel(ExactKernel):
     squared = True
-
-    @staticmethod
-    def length(a: Point, b: Point) -> tuple[int, int]:
-        """The squared Euclidean length."""
-        xn, xd, yn, yd = _gaps(a, b)
-        u, v, w = xn * yd, yn * xd, xd * yd
-        return u * u + v * v, w * w
+    length = staticmethod(sq_length)
 
     def path_sum_eq(self, a: Point, b: Point, c: Point) -> bool:
         # sqrt(A) + sqrt(B) = sqrt(C)  <=>  C - A - B >= 0 and (C-A-B)^2 = 4AB;

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .geometry import EXACT, Point, Space, cross, p_sub
+from .geometry import EXACT, Point, Space, affine_combination, cross, midpoint, p_sub
 from .scalars import float_eq
 
 
@@ -107,35 +107,13 @@ def _coords_eq(space: Space, p: Point, q: Point) -> bool:
     return float_eq(p.x, q.x, tol) and float_eq(p.y, q.y, tol)
 
 
-def _common_den(u, v, w) -> tuple[int, int, int]:
-    """Three rational coordinates as numerators over one positive denominator."""
-    un, ud = u.as_integer_ratio()
-    vn, vd = v.as_integer_ratio()
-    wn, wd = w.as_integer_ratio()
-    return un * vd * wd, vn * ud * wd, wn * ud * vd
-
-
-def _exact_axes(a: Point, b: Point, c: Point) -> tuple[int, int, int, int, int, int]:
-    """Exact a, b, c with each axis cleared to integers (axes scale separately)."""
-    ax, bx, cx = _common_den(a.x, b.x, c.x)
-    ay, by, cy = _common_den(a.y, b.y, c.y)
-    return ax, ay, bx, by, cx, cy
-
-
-def _exact_on_line_at(p: Point, a: Point, b: Point, tn: int, td: int) -> bool:
-    """Exact p = a + (tn/td) * (b - a), decided on integers."""
-    ax, ay, bx, by, px, py = _exact_axes(a, b, p)
-    return td * (px - ax) == tn * (bx - ax) and td * (py - ay) == tn * (by - ay)
-
-
 def oracle_midpoint(space: Space, a: Point, b: Point, c: Point) -> bool:
     """a + c = 2b coordinatewise, with a != c (affine; norm plays no role)."""
     if space.points_eq(a, c):
         return False
     if space.backend == EXACT:
-        return _exact_on_line_at(b, a, c, 1, 2)
-    double_b = Point(2 * b.x, 2 * b.y)
-    return _coords_eq(space, Point(a.x + c.x, a.y + c.y), double_b)
+        return space.points_eq(b, midpoint(a, c))
+    return _coords_eq(space, Point(a.x + c.x, a.y + c.y), Point(2 * b.x, 2 * b.y))
 
 
 def oracle_phi(space: Space, n: int, a: Point, b: Point, x: Point) -> bool:
@@ -156,10 +134,7 @@ def oracle_alpha(space: Space, n: int, a: Point, b: Point, x: Point) -> bool:
         raise OracleError("ALPHA needs n >= 1")
     if space.points_eq(a, b):
         return False
-    if space.backend == EXACT:
-        return _exact_on_line_at(x, a, b, n, 1)
-    target = Point(a.x + n * (b.x - a.x), a.y + n * (b.y - a.y))
-    return _coords_eq(space, x, target)
+    return _coords_eq(space, x, affine_combination(a, b, n))
 
 
 def oracle_beta(space: Space, k: int, a: Point, b: Point, y: Point) -> bool:
@@ -168,11 +143,7 @@ def oracle_beta(space: Space, k: int, a: Point, b: Point, y: Point) -> bool:
         raise OracleError("BETA needs k >= 1")
     if space.points_eq(a, b):
         return False
-    if space.backend == EXACT:
-        return _exact_on_line_at(y, a, b, 1, 2**k)
-    t = Fraction(1, 2**k)
-    target = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-    return _coords_eq(space, y, target)
+    return _coords_eq(space, y, affine_combination(a, b, Fraction(1, 2**k)))
 
 
 def oracle_psi(space: Space, n: int, k: int, a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -201,14 +172,7 @@ def oracle_gamma(space: Space, a: Point, b: Point, c: Point) -> bool:
 def oracle_B(space: Space, a: Point, b: Point, c: Point) -> bool:
     """Affine betweenness: b = a + t(c-a) for some t in [0,1], endpoints allowed."""
     if space.backend == EXACT:
-        ax, ay, bx, by, cx, cy = _exact_axes(a, b, c)
-        ux, uy, vx, vy = cx - ax, cy - ay, bx - ax, by - ay
-        if ux == 0 and uy == 0:
-            return vx == 0 and vy == 0
-        if ux * vy != uy * vx:
-            return False
-        u, v = (ux, vx) if ux != 0 else (uy, vy)
-        return 0 <= v * u <= u * u  # t = v/u lies in [0, 1]
+        return space.kernel.between(a, b, c)
     tol = space.tolerance
     if space.points_eq(a, c):
         return space.points_eq(b, a)
@@ -223,9 +187,16 @@ def oracle_B(space: Space, a: Point, b: Point, c: Point) -> bool:
 
 
 def oracle_delta(space: Space, n: int, a: Point, b: Point, c: Point) -> bool:
-    """d(a,c) <= n * d(a,b)."""
+    """d(a,c) <= n * d(a,b) for n >= 2; for n = 1, d(a,c) = d(a,b).
+
+    DELTA(n) says that a chain of n steps of length d(a,b) leads from a to
+    c.  Two steps reach every point within twice the step, but one step
+    reaches only the sphere of radius d(a,b).
+    """
     if n < 1:
         raise OracleError("DELTA needs n >= 1")
+    if n == 1:
+        return space.eq_dist(a, c, a, b)
     return space.le_dist_scaled(a, c, n, a, b)
 
 
@@ -240,8 +211,7 @@ def oracle_le(space: Space, a: Point, b: Point, c: Point, d: Point) -> bool:
 
 def oracle_collinear(space: Space, a: Point, b: Point, c: Point) -> bool:
     if space.backend == EXACT:
-        ax, ay, bx, by, cx, cy = _exact_axes(a, b, c)
-        return (bx - ax) * (cy - ay) == (by - ay) * (cx - ax)
+        return space.kernel.collinear(a, b, c)
     u = p_sub(b, a)
     v = p_sub(c, a)
     scale = max(1.0, abs(u.x), abs(u.y)) * max(1.0, abs(v.x), abs(v.y))

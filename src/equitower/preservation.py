@@ -12,8 +12,8 @@ first and then classifies each map in ``_classify``, the one transport
 path.  Exact samples are drawn as integer rows, coordinates over one
 positive denominator (as in Yap, "Towards exact geometric computation",
 CGTA 1997), and an affine map is decided on their integer difference
-vectors, where translation drops out.  ``Fraction`` points are built from
-a row only for witness records and for nonlinear maps, which, like every
+vectors, where translation drops out.  Points are built from a row only
+for witness records and for nonlinear maps, which, like every
 map on the float backend, are applied pointwise and asked of
 ``space.eq_dist`` and ``oracle_B``.  Sampling can only certify violations
 (with replayable witnesses); "no violation found in n samples" is
@@ -28,11 +28,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geometry import EXACT, Point, Space, affine_combination, point_to_record
+from .geometry import EXACT, ExactPoint, Point, Space, affine_combination, point_to_record
+from .kernel import int_between as _int_between
 from .oracles import oracle_B
 from .sampling import (
     Matrix,
     choice,
+    generator_rows,
     isometry_generators,
     rand_point,
     randint,
@@ -230,13 +232,6 @@ _INT_LENGTH = {
 }
 
 
-def _int_between(px: int, py: int, qx: int, qy: int) -> bool:
-    """p = t*q for some t in [0, 1]; with p = b-a and q = c-a, b lies on ac."""
-    if qx == 0 and qy == 0:
-        return px == 0 and py == 0
-    return px * qy == py * qx and 0 <= px * qx + py * qy <= qx * qx + qy * qy
-
-
 def _integer_matrix(m: Matrix) -> tuple[int, int, int, int, int]:
     """The entries of m times their least common denominator k, then k."""
     k = math.lcm(*(q.denominator for q in m))
@@ -254,11 +249,11 @@ class _Samples(NamedTuple):
 
 
 def _points(space: Space, sample: tuple) -> tuple[Point, ...]:
-    """A sample's points; only here do exact rows become ``Fraction`` points."""
+    """A sample's points; only here do exact rows become points."""
     if space.backend != EXACT:
         return sample
     *coords, w = sample
-    return tuple(Point(Fraction(x, w), Fraction(y, w)) for x, y in zip(coords[::2], coords[1::2]))
+    return tuple(ExactPoint(x, y, w) for x, y in zip(coords[::2], coords[1::2]))
 
 
 def _draw_quadruples(space: Space, rng: random.Random, n: int) -> _Samples:
@@ -267,7 +262,7 @@ def _draw_quadruples(space: Space, rng: random.Random, n: int) -> _Samples:
     drawn = _Samples([], [], [])
     exact = space.backend == EXACT
     point = _int_point if exact else lambda rng: rand_point(space, rng)
-    generators = [_integer_matrix(m) if exact else (*map(float, m), 1) for m in isometry_generators(space)]
+    generators = generator_rows(space)
     length = _INT_LENGTH.get(space.norm.kind)
     for _ in range(n):
         (ax, ay), (cx, cy), (bx, by) = point(rng), point(rng), point(rng)

@@ -8,13 +8,18 @@ of the supported norms:
 * ``isometry generator`` matrices: linear maps preserving the norm exactly
   (rational rotations/reflections for l2; the eight signed coordinate
   permutations for l1/linf/lp).  Applying one to a segment vector yields a
-  second segment of exactly equal length.
+  second segment of exactly equal length.  They are kept once as integer
+  rows ``(m11, m12, m21, m22, k)``, the matrix times k, which
+  ``equal_length_mate`` and map fuzzing apply to a point's integers.
 * rational-side triangles for l2: gluing two rational right triangles along
   a common height gives triples of points whose pairwise Euclidean
   distances are all rational, so ray constructions scale rationally.
 
-All sampling is driven by a caller-supplied ``random.Random`` through
-``randint`` and ``choice``, which keep its own ``randint``/``choice`` stream.
+Exact points are drawn and transformed as integers: ``rand_point`` builds
+(X, Y, W) from its four integer draws, and ``equal_length_mate`` and
+``scale_vector`` multiply a point's integers.  All sampling is driven by a
+caller-supplied ``random.Random`` through ``randint`` and ``choice``, which
+keep its own ``randint``/``choice`` stream.
 """
 
 from __future__ import annotations
@@ -22,27 +27,25 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .geometry import Point, Space, affine_combination, p_add
+from .geometry import ExactPoint, Point, Space, affine_combination, p_add
 
 Matrix = tuple[Fraction, Fraction, Fraction, Fraction]  # row-major 2x2
+Row = tuple[int, int, int, int, int]  # (m11, m12, m21, m22, k): the matrix [[m11, m12], [m21, m22]] / k
 
-IDENTITY: Matrix = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
 
-
-def rational_rotation(leg_a: int, leg_b: int) -> Matrix:
+def rational_rotation(leg_a: int, leg_b: int) -> Row:
     """Rotation by the angle of a rational point on the unit circle.
 
     Uses (leg_a^2 - leg_b^2, 2*leg_a*leg_b) / (leg_a^2 + leg_b^2): an exact
-    orthogonal matrix with rational entries.
+    orthogonal matrix with rational entries, as the row (cos, -sin, sin,
+    cos, hyp) of integers over hyp = leg_a^2 + leg_b^2.
     """
-    hyp = Fraction(leg_a * leg_a + leg_b * leg_b)
-    cos = Fraction(leg_a * leg_a - leg_b * leg_b) / hyp
-    sin = Fraction(2 * leg_a * leg_b) / hyp
-    return (cos, -sin, sin, cos)
+    cos, sin = leg_a * leg_a - leg_b * leg_b, 2 * leg_a * leg_b
+    return (cos, -sin, sin, cos, leg_a * leg_a + leg_b * leg_b)
 
 
-SIGNED_PERMUTATIONS: tuple[Matrix, ...] = tuple(
-    (Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+SIGNED_PERMUTATIONS: tuple[Row, ...] = tuple(
+    (a, b, c, d, 1)
     for a, b, c, d in (
         (1, 0, 0, 1),
         (-1, 0, 0, 1),
@@ -55,12 +58,20 @@ SIGNED_PERMUTATIONS: tuple[Matrix, ...] = tuple(
     )
 )
 
-L2_GENERATORS: tuple[Matrix, ...] = (
-    IDENTITY,
+L2_GENERATORS: tuple[Row, ...] = (
+    (1, 0, 0, 1, 1),
     rational_rotation(2, 1),  # the 3-4-5 rotation
     rational_rotation(3, 2),  # the 5-12-13 rotation
-    (Fraction(1), Fraction(0), Fraction(0), Fraction(-1)),  # x-axis reflection
+    (1, 0, 0, -1, 1),  # x-axis reflection
 )
+
+# (norm is l2, backend) -> generator rows; on floats each entry is divided
+# by k once (``m / k`` rounds as ``float(Fraction(m, k))`` does), and k = 1
+_ROWS = {
+    (l2, backend): rows if backend == "exact" else tuple((a / k, b / k, c / k, d / k, 1) for a, b, c, d, k in rows)
+    for l2, rows in ((True, L2_GENERATORS), (False, SIGNED_PERMUTATIONS))
+    for backend in ("exact", "float")
+}
 
 
 def randint(rng: random.Random, a: int, b: int) -> int:
@@ -79,10 +90,15 @@ def choice(rng: random.Random, seq):
     return seq[randint(rng, 0, len(seq) - 1)]
 
 
+def generator_rows(space: Space) -> tuple[Row, ...]:
+    """The isometry generators of the space's norm as integer rows; on the
+    float backend, as doubles with k = 1."""
+    return _ROWS[space.norm.kind == "l2", space.backend]
+
+
 def isometry_generators(space: Space) -> tuple[Matrix, ...]:
-    if space.norm.kind == "l2":
-        return L2_GENERATORS
-    return SIGNED_PERMUTATIONS
+    """The isometry generators as ``Fraction`` matrices, for building maps."""
+    return tuple(tuple(Fraction(m, row[4]) for m in row[:4]) for row in _ROWS[space.norm.kind == "l2", "exact"])
 
 
 def rand_fraction(rng: random.Random, span: int = 24, max_den: int = 8) -> Fraction:
@@ -100,34 +116,39 @@ def rand_unit_fraction(rng: random.Random, max_den: int = 16) -> Fraction:
 
 
 def rand_point(space: Space, rng: random.Random, span: int = 24, max_den: int = 8) -> Point:
-    """A point with coordinates drawn as by ``rand_fraction``; on floats the
-    int division rounds correctly, so it equals ``float(rand_fraction(...))``."""
+    """A point with coordinates drawn as by ``rand_fraction``: x = xn/xd and
+    y = yn/yd, built exactly as (xn*yd, yn*xd, xd*yd).  On floats the int
+    division rounds correctly, so it equals ``float(rand_fraction(...))``."""
+    xn, xd = randint(rng, -span, span), randint(rng, 1, max_den)
+    yn, yd = randint(rng, -span, span), randint(rng, 1, max_den)
     if space.backend == "float":
-        x = randint(rng, -span, span) / randint(rng, 1, max_den)
-        return Point(x, randint(rng, -span, span) / randint(rng, 1, max_den))
-    x = rand_fraction(rng, span, max_den)
-    return Point(x, rand_fraction(rng, span, max_den))
+        return Point(xn / xd, yn / yd)
+    return ExactPoint(xn * yd, yn * xd, xd * yd)
 
 
 def rand_nonzero_vector(space: Space, rng: random.Random, span: int = 12) -> Point:
+    zero = Point(0.0, 0.0) if space.backend == "float" else Point(0, 0)
     while True:
         v = rand_point(space, rng, span=span, max_den=4)
-        if v.x != 0 or v.y != 0:
+        if v != zero:
             return v
 
 
 def equal_length_mate(space: Space, rng: random.Random, v: Point) -> Point:
     """A vector of exactly the same norm as v (exact even on floats up to rounding)."""
-    m = choice(rng, isometry_generators(space))
+    m11, m12, m21, m22, k = choice(rng, generator_rows(space))
     if space.backend == "float":
-        m = tuple(map(float, m))
-    return Point(m[0] * v.x + m[1] * v.y, m[2] * v.x + m[3] * v.y)
+        return Point(m11 * v.x + m12 * v.y, m21 * v.x + m22 * v.y)
+    return ExactPoint(m11 * v.X + m12 * v.Y, m21 * v.X + m22 * v.Y, k * v.W)
 
 
-def scale_vector(space: Space, v: Point, q: Fraction) -> Point:
+def scale_vector(space: Space, v: Point, q: Fraction | int) -> Point:
+    """q * v for a rational q, converted to a double once on floats."""
     if space.backend == "float":
-        return Point(float(q) * v.x, float(q) * v.y)
-    return Point(q * v.x, q * v.y)
+        q = float(q)
+        return Point(q * v.x, q * v.y)
+    qn, qd = q.as_integer_ratio()
+    return ExactPoint(qn * v.X, qn * v.Y, qd * v.W)
 
 
 def rational_distance_triangle(
@@ -177,10 +198,9 @@ def box_path_triple(space: Space, rng: random.Random) -> tuple[Point, Point, Poi
     kind = space.norm.kind
     a = rand_point(space, rng)
     if kind == "l1":
-        dx = Point(rand_positive_fraction(rng), Fraction(0))
-        dy = Point(Fraction(0), rand_positive_fraction(rng))
-        b = p_add(a, Point(dx.x * rand_unit_fraction(rng), dy.y * rand_unit_fraction(rng)))
-        c = p_add(a, Point(dx.x, dy.y))
+        dx, dy = rand_positive_fraction(rng), rand_positive_fraction(rng)
+        b = p_add(a, Point(dx * rand_unit_fraction(rng), dy * rand_unit_fraction(rng)))
+        c = p_add(a, Point(dx, dy))
         return a, b, c
     if kind == "linf":
         total = rand_positive_fraction(rng) + 2

@@ -2,7 +2,9 @@
 
 A universe is an ordered, duplicate-free (under the space's equality) list
 of points, each carrying a provenance tag recording why it is present.
-Universes are immutable; adding points returns a new universe.
+Exact points are deduplicated by a set lookup on their normalised
+integers; float points by the space's tolerant equality.  Universes are
+immutable; adding points returns a new universe.
 """
 
 from __future__ import annotations

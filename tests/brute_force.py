@@ -105,6 +105,8 @@ def brute_B(a, b, c) -> bool:
 
 
 def brute_delta(kind, n, a, b, c) -> bool:
+    if n == 1:  # one step of length d(a,b) reaches only its sphere
+        return brute_equidistant(kind, a, c, a, b)
     return _le(dec_dist(kind, a, c), Decimal(n) * dec_dist(kind, a, b))
 
 

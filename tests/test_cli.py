@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -347,6 +348,17 @@ class TestNonFiniteTolerance:
                 f"--tolerance={tolerance}"]
         assert main(argv) == 2
         _assert_one_line_error(capsys, "finite and nonnegative")
+
+    @pytest.mark.parametrize("tolerance", ["1", "10", "1e300"])
+    def test_tolerance_of_one_or_more_is_refused_at_once(self, capsys, tolerance):
+        # at tolerance >= 1 every two lengths compare equal, so samplers that
+        # redraw until two points differ would never stop
+        argv = ["verify-layer", "--relation", "GAMMA", "--norm", "l1", "--backend", "float",
+                "--tolerance", tolerance, "--seed", "1", "--samples", "20"]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        _assert_one_line_error(capsys, f"got {float(tolerance)}")
 
     def test_exact_backend_ignores_a_valid_tolerance(self, tmp_path, capsys):
         points = tmp_path / "pts.json"

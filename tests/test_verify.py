@@ -55,6 +55,13 @@ class TestVerifyLayer:
         assert report.samples == 80
         assert report.passed, report.counterexamples[0]
 
+    @pytest.mark.parametrize("norm", [L1, LINF], ids=lambda n: n.kind)
+    def test_one_step_delta_is_the_sphere(self, norm):
+        # DELTA(1) expands to d(z0,zn) = d(z0,x): one step reaches the sphere, not the ball
+        space = verification_space(DELTA(1), norm)
+        report = verify_layer(space, DELTA(1), TR, samples=100, seed=3)
+        assert report.agreements == report.samples == 100, report.counterexamples[0]
+
     def test_report_shape(self):
         space = verification_space(BETA(2), L1)
         report = verify_layer(space, BETA(2), TR, samples=10, seed=5)
