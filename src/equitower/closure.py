@@ -324,8 +324,8 @@ def closure_for_relation(
     if name == "DELTA":
         z0, x, zn = points
         uni = Universe(space, points, size_cap=size_cap)
-        if space.points_eq(z0, x):
-            return uni
+        if rel.indices[0] == 1 or space.points_eq(z0, x):
+            return uni  # DELTA(1) is one atom, d(z0,zn) = d(z0,x): it quantifies over nothing
         try:
             chain_uni = close_for_delta(space, z0, x, zn, rel.indices[0], size_cap=size_cap)
         except IncompleteClosureError:

@@ -11,6 +11,13 @@ Bounded universal quantification over-approximates plane-wide truth: the
 verdict is faithful only on universes that contain the relevant witnesses
 and refuters (see :mod:`equitower.closure`).
 
+Evaluation is one table, ``type(node) -> step``, one small step per node
+kind.  A quantifier binds in place: it sets ``pv[name]``, recurses, and on
+exit (by exception too) restores the shadowed value or drops the name.
+Terms that are all variables are read by plain lookups; constants and
+unbound names take the checked read.  References with literal indices get
+their validated :class:`RelationId` from a cache keyed by (name, indices).
+
 GAMMA in formula mode with ``adaptive_n`` is evaluated by iterating its
 truncated double tower directly: per query the disjunction bound is raised
 to ``ceil(2^K * d(b,c)/d(a,b)) + 2`` and the scan starts near the only
@@ -46,6 +53,8 @@ from .schemas import TruncationParams, expand_schema, schema_params
 
 AS_ORACLE = "oracle"
 AS_FORMULA = "formula"
+_UNBOUND = object()
+_LITERAL_RELS: dict[tuple, RelationId] = {}  # a pure memo: (name, literal indices) -> validated id
 
 
 class EvalError(ValueError):
@@ -97,78 +106,84 @@ class _Evaluator:
         self.trunc = trunc
         self.impl = impl
 
-    def term_point(self, t: Term, pv: dict[str, Point]) -> Point:
-        if isinstance(t, Const):
-            return t.point
-        p = pv.get(t.name)
-        if p is None:
-            raise EvalError(f"unbound point variable {t.name!r}")
-        return p
-
     def run(self, f: Formula, pv: dict[str, Point], iv: dict[str, int]) -> bool:
-        space = self.space
-        if isinstance(f, AtomEqui):
-            return space.eq_dist(
-                self.term_point(f.t1, pv),
-                self.term_point(f.t2, pv),
-                self.term_point(f.t3, pv),
-                self.term_point(f.t4, pv),
-            )
-        if isinstance(f, AtomEq):
-            return space.points_eq(self.term_point(f.t1, pv), self.term_point(f.t2, pv))
-        if isinstance(f, Not):
-            return not self.run(f.body, pv, iv)
-        if isinstance(f, And):
-            return all(self.run(g, pv, iv) for g in f.items)
-        if isinstance(f, Or):
-            return any(self.run(g, pv, iv) for g in f.items)
-        if isinstance(f, Implies):
-            return (not self.run(f.left, pv, iv)) or self.run(f.right, pv, iv)
-        if isinstance(f, Exists):
-            return self._quantify(f.vars, f.body, pv, iv, want=True)
-        if isinstance(f, ForAll):
-            return not self._quantify(f.vars, f.body, pv, iv, want=False)
-        if isinstance(f, CountableAnd):
-            for i in range(f.start, self.trunc.K + 1):
-                if not self.run(f.body, pv, {**iv, f.var: i}):
-                    return False
-            return True
-        if isinstance(f, CountableOr):
-            for i in range(f.start, self.trunc.N + 1):
-                if self.run(f.body, pv, {**iv, f.var: i}):
-                    return True
-            return False
-        if isinstance(f, SchemaRef):
-            return self.schema_truth(self.resolve_rel(f, iv), self.resolve_terms(f, pv))
-        raise EvalError(f"not a formula node: {f!r}")
+        step = _STEPS.get(type(f))
+        if step is None:
+            raise EvalError(f"not a formula node: {f!r}")
+        return step(self, f, pv, iv)
 
-    def _quantify(
+    def _equi(self, f: AtomEqui, pv: dict[str, Point], iv: dict[str, int]) -> bool:
+        try:
+            a, b, c, d = pv[f.t1.name], pv[f.t2.name], pv[f.t3.name], pv[f.t4.name]
+        except (AttributeError, KeyError):  # a constant or an unbound name
+            a, b, c, d = (_term_point(t, pv) for t in (f.t1, f.t2, f.t3, f.t4))
+        return self.space.eq_dist(a, b, c, d)
+
+    def _eq(self, f: AtomEq, pv: dict[str, Point], iv: dict[str, int]) -> bool:
+        try:
+            a, b = pv[f.t1.name], pv[f.t2.name]
+        except (AttributeError, KeyError):
+            a, b = _term_point(f.t1, pv), _term_point(f.t2, pv)
+        return self.space.points_eq(a, b)
+
+    def _and(self, f: And, pv: dict[str, Point], iv: dict[str, int]) -> bool:
+        for g in f.items:
+            if not self.run(g, pv, iv):
+                return False
+        return True
+
+    def _or(self, f: Or, pv: dict[str, Point], iv: dict[str, int]) -> bool:
+        for g in f.items:
+            if self.run(g, pv, iv):
+                return True
+        return False
+
+    def _ref(self, f: SchemaRef, pv: dict[str, Point], iv: dict[str, int]) -> bool:
+        rel = _LITERAL_RELS.get((f.name, f.index_args)) or self.resolve_rel(f, iv)
+        try:
+            points = tuple([pv[t.name] for t in f.terms])
+        except (AttributeError, KeyError):
+            points = tuple(_term_point(t, pv) for t in f.terms)
+        return self.schema_truth(rel, points)
+
+    def search(
         self, names: tuple[str, ...], body: Formula, pv: dict[str, Point], iv: dict[str, int], want: bool
     ) -> bool:
         """True iff some assignment of universe points to ``names`` makes
         ``body`` evaluate to ``want`` (ForAll negates the want=False search)."""
         if not names:
             return self.run(body, pv, iv) == want
-        head, rest = names[0], names[1:]
-        for p in self.universe.points:
-            if self._quantify(rest, body, {**pv, head: p}, iv, want):
+        name, rest = names[0], names[1:]
+        shadowed = pv.get(name, _UNBOUND)
+        try:
+            for p in self.universe.points:
+                pv[name] = p
+                if self.search(rest, body, pv, iv, want) if rest else self.run(body, pv, iv) == want:
+                    return True
+            return False
+        finally:
+            if shadowed is _UNBOUND:
+                pv.pop(name, None)
+            else:
+                pv[name] = shadowed
+
+    def count(
+        self, f: CountableAnd | CountableOr, bound: int, pv: dict[str, Point], iv: dict[str, int], want: bool
+    ) -> bool:
+        """True iff ``f.body`` evaluates to ``want`` for some index from ``f.start`` to ``bound``."""
+        for i in range(f.start, bound + 1):
+            if self.run(f.body, pv, {**iv, f.var: i}) == want:
                 return True
         return False
 
     def resolve_rel(self, ref: SchemaRef, iv: dict[str, int]) -> RelationId:
-        indices = []
-        for arg in ref.index_args:
-            if isinstance(arg, int):
-                indices.append(arg)
-            else:
-                value = iv.get(arg)
-                if value is None:
-                    raise EvalError(f"unbound index variable {arg!r}")
-                indices.append(value)
-        return RelationId(ref.name, tuple(indices))
-
-    def resolve_terms(self, ref: SchemaRef, pv: dict[str, Point]) -> tuple[Point, ...]:
-        return tuple(self.term_point(t, pv) for t in ref.terms)
+        indices = tuple(arg if isinstance(arg, int) else iv.get(arg) for arg in ref.index_args)
+        if None in indices:
+            raise EvalError(f"unbound index variable {ref.index_args[indices.index(None)]!r}")
+        rel = RelationId(ref.name, indices)
+        if indices == ref.index_args:
+            _LITERAL_RELS[(ref.name, indices)] = rel
+        return rel
 
     def schema_truth(self, rel: RelationId, points: tuple[Point, ...]) -> bool:
         how = self.impl.how(rel.name)
@@ -213,6 +228,30 @@ class _Evaluator:
         return self.schema_truth(RelationId("PSI", (n, k)), (a, b, b, c)) and self.schema_truth(
             RelationId("PSI", (n + 2**k, k)), (a, b, a, c)
         )
+
+
+def _term_point(t: Term, pv: dict[str, Point]) -> Point:
+    if isinstance(t, Const):
+        return t.point
+    p = pv.get(t.name)
+    if p is None:
+        raise EvalError(f"unbound point variable {t.name!r}")
+    return p
+
+
+_STEPS = {
+    AtomEqui: _Evaluator._equi,
+    AtomEq: _Evaluator._eq,
+    Not: lambda ev, f, pv, iv: not ev.run(f.body, pv, iv),
+    And: _Evaluator._and,
+    Or: _Evaluator._or,
+    Implies: lambda ev, f, pv, iv: (not ev.run(f.left, pv, iv)) or ev.run(f.right, pv, iv),
+    Exists: lambda ev, f, pv, iv: ev.search(f.vars, f.body, pv, iv, True),
+    ForAll: lambda ev, f, pv, iv: not ev.search(f.vars, f.body, pv, iv, False),
+    CountableAnd: lambda ev, f, pv, iv: not ev.count(f, ev.trunc.K, pv, iv, False),
+    CountableOr: lambda ev, f, pv, iv: ev.count(f, ev.trunc.N, pv, iv, True),
+    SchemaRef: _Evaluator._ref,
+}
 
 
 def eval_formula(

@@ -95,6 +95,18 @@ class TestVerifyLayer:
     def test_refinement_stage_exits_two(self):
         assert main(["verify-layer", "--relation", "PHI:3", "--samples", "5", "--seed", "1"]) == 2
 
+    def test_one_step_delta_needs_no_chain_on_exact_l2(self, tmp_path):
+        # DELTA(1) is one atom: its closure builds no chain, so no irrational l2 step is refused
+        out = tmp_path / "rep.json"
+        code = main(
+            ["verify-layer", "--relation", "DELTA:1", "--norm", "l2", "--seed", "3",
+             "--samples", "100", "--output", str(out)]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["backend"] == "exact"
+        assert payload["samples"] == payload["agreements"] == 100
+
 
 class TestDeterminism:
     def test_identical_seed_and_config_give_identical_bytes(self, tmp_path):
