@@ -21,10 +21,11 @@ d(a,b), the ratio d(a,b)/d(c,d), and the test d(a,b) = r.  Exact kernels
 give ``Fraction``s (an exact l2 length or ratio is the rational root of
 the squared one, or ``None`` when that root is irrational) and test
 d(a,b) = r on integers, squared on l2; the float kernel gives doubles.
-The exact kernels also decide collinearity and affine betweenness on
-integer difference vectors.
-
-The float kernel reads points through ``.x``/``.y``.
+Both kinds of kernel also decide collinearity and affine betweenness on
+difference vectors: integers on the exact kernels, and on the float kernel
+the coordinate differences, read through ``.x``/``.y``, under the tolerance.
+The float kernel's ``length`` and ``between_vectors`` take bare
+coordinates, so map fuzzing decides rows of doubles without building points.
 """
 
 from __future__ import annotations
@@ -221,33 +222,29 @@ class _ExactL2Kernel(ExactKernel):
 _EXACT_KERNELS = {"l1": _ExactL1Kernel(), "linf": _ExactLinfKernel(), "l2": _ExactL2Kernel()}
 
 
-def _l1_fdist(a: Point, b: Point) -> float:
-    return abs(a.x - b.x) + abs(a.y - b.y)
+# the length of a vector (x, y) of doubles
+_FLOAT_LENGTHS = {
+    "l1": lambda x, y: abs(x) + abs(y),
+    "linf": lambda x, y: max(abs(x), abs(y)),
+    "l2": math.hypot,
+}
 
 
-def _linf_fdist(a: Point, b: Point) -> float:
-    return max(abs(a.x - b.x), abs(a.y - b.y))
-
-
-def _l2_fdist(a: Point, b: Point) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def _lp_fdist(p: float, a: Point, b: Point) -> float:
-    return (abs(a.x - b.x) ** p + abs(a.y - b.y) ** p) ** (1.0 / p)
-
-
-_FLOAT_DISTS = {"l1": _l1_fdist, "linf": _linf_fdist, "l2": _l2_fdist}
+def _lp_length(p: float, x: float, y: float) -> float:
+    return (abs(x) ** p + abs(y) ** p) ** (1.0 / p)
 
 
 class FloatKernel:
-    """Double-precision comparisons under ``float_eq``/``float_le`` with a tolerance."""
+    """Double-precision comparisons under ``float_eq``/``float_le`` with a tolerance.
+    ``dist(a, b)`` is ``length(x, y)``, the norm of a vector, taken of a - b."""
 
     def __init__(self, norm: NormSpec, tolerance: float):
         if norm.kind == "lp":
-            self.dist = functools.partial(_lp_fdist, float(norm.p))
+            length = functools.partial(_lp_length, float(norm.p))
         else:
-            self.dist = _FLOAT_DISTS[norm.kind]
+            length = _FLOAT_LENGTHS[norm.kind]
+        self.length = length
+        self.dist = lambda a, b: length(a.x - b.x, a.y - b.y)
         self.tol = tolerance
 
     def points_eq(self, a: Point, b: Point) -> bool:
@@ -291,6 +288,30 @@ class FloatKernel:
         if dd == 0.0:
             return None
         return math.ceil(factor * self.dist(a, b) / dd)
+
+    def collinear(self, a: Point, b: Point, c: Point) -> bool:
+        ax, ay = a.x, a.y
+        px, py, qx, qy = b.x - ax, b.y - ay, c.x - ax, c.y - ay
+        scale = max(1.0, abs(px), abs(py)) * max(1.0, abs(qx), abs(qy))
+        return abs(px * qy - py * qx) <= self.tol * scale
+
+    def between(self, a: Point, b: Point, c: Point) -> bool:
+        """b = a + t(c - a) for some t in [0, 1], within the tolerance."""
+        ax, ay = a.x, a.y
+        return self.between_vectors(b.x - ax, b.y - ay, c.x - ax, c.y - ay)
+
+    def between_vectors(self, px, py, qx, qy) -> bool:
+        """p = t*q for some t in [0, 1], within the tolerance; with p = b-a and
+        q = c-a, b lies on ac.  A cross product within tol times the scale of
+        the two vectors counts as zero."""
+        tol = self.tol
+        if float_eq(self.length(qx, qy), 0.0, tol):  # a = c
+            return float_eq(self.length(px, py), 0.0, tol)
+        scale = max(1.0, abs(qx), abs(qy)) * max(1.0, abs(px), abs(py))
+        if abs(qx * py - qy * px) > tol * scale:
+            return False
+        t = (px * qx + py * qy) / (qx * qx + qy * qy)
+        return -tol <= t <= 1.0 + tol
 
     def annulus_ok(self, c: Point, radius_c, d: Point, radius_d) -> bool:
         big, small = max(radius_c, radius_d), min(radius_c, radius_d)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .geometry import EXACT, Point, Space, affine_combination, cross, midpoint, p_sub
+from .geometry import EXACT, Point, Space, affine_combination, midpoint, p_sub
 from .scalars import float_eq
 
 
@@ -170,20 +170,9 @@ def oracle_gamma(space: Space, a: Point, b: Point, c: Point) -> bool:
 
 
 def oracle_B(space: Space, a: Point, b: Point, c: Point) -> bool:
-    """Affine betweenness: b = a + t(c-a) for some t in [0,1], endpoints allowed."""
-    if space.backend == EXACT:
-        return space.kernel.between(a, b, c)
-    tol = space.tolerance
-    if space.points_eq(a, c):
-        return space.points_eq(b, a)
-    u = p_sub(c, a)
-    v = p_sub(b, a)
-    scale = max(1.0, abs(u.x), abs(u.y)) * max(1.0, abs(v.x), abs(v.y))
-    if abs(cross(u, v)) > tol * scale:
-        return False
-    denom = u.x * u.x + u.y * u.y
-    t = (v.x * u.x + v.y * u.y) / denom
-    return -tol <= t <= 1.0 + tol
+    """Affine betweenness: b = a + t(c-a) for some t in [0,1], endpoints allowed,
+    decided by the space's kernel on b - a and c - a (on floats, within the tolerance)."""
+    return space.kernel.between(a, b, c)
 
 
 def oracle_delta(space: Space, n: int, a: Point, b: Point, c: Point) -> bool:
@@ -210,12 +199,7 @@ def oracle_le(space: Space, a: Point, b: Point, c: Point, d: Point) -> bool:
 
 
 def oracle_collinear(space: Space, a: Point, b: Point, c: Point) -> bool:
-    if space.backend == EXACT:
-        return space.kernel.collinear(a, b, c)
-    u = p_sub(b, a)
-    v = p_sub(c, a)
-    scale = max(1.0, abs(u.x), abs(u.y)) * max(1.0, abs(v.x), abs(v.y))
-    return abs(cross(u, v)) <= space.tolerance * scale
+    return space.kernel.collinear(a, b, c)
 
 
 def oracle_parallelogram(space: Space, a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -245,9 +229,10 @@ RELATIONS: dict[str, RelationSpec] = {
 
 def oracle_truth(space: Space, rel: RelationId, points: tuple[Point, ...]) -> bool:
     """Dispatch a relation id to its oracle."""
-    if len(points) != rel.arity():
-        raise OracleError(f"{rel.label()} expects {rel.arity()} points, got {len(points)}")
-    return RELATIONS[rel.name].oracle(space, *rel.indices, *points)
+    spec = RELATIONS[rel.name]
+    if len(points) != len(spec.params):
+        raise OracleError(f"{rel.label()} expects {len(spec.params)} points, got {len(points)}")
+    return spec.oracle(space, *rel.indices, *points)
 
 
 EQUIV2 = RelationId("EQUIV2")

@@ -9,15 +9,17 @@ Arbitrary maps are classified by sampling: quadruples biased to contain
 exactly-equal segment pairs check both implication directions, segment
 triples check betweenness transport.  Every entry point draws its samples
 first and then classifies each map in ``_classify``, the one transport
-path.  Exact samples are drawn as integer rows, coordinates over one
-positive denominator (as in Yap, "Towards exact geometric computation",
-CGTA 1997), and an affine map is decided on their integer difference
-vectors, where translation drops out.  Points are built from a row only
-for witness records and for nonlinear maps, which, like every
-map on the float backend, are applied pointwise and asked of
-``space.eq_dist`` and ``oracle_B``.  Sampling can only certify violations
-(with replayable witnesses); "no violation found in n samples" is
-reported as exactly that.
+path.  Samples are drawn as rows of coordinates.  Exact rows are integers
+over one positive denominator (as in Yap, "Towards exact geometric
+computation", CGTA 1997), and an affine map is decided on their integer
+difference vectors, where translation drops out.  Float rows are doubles;
+an affine map sends each coordinate pair through its coefficients as
+``PlaneMap.apply`` does, and the image rows go through the float
+kernel's tolerant length and betweenness arithmetic, as the points would.
+Points are built from a row only for witness records and for nonlinear
+maps, which are applied pointwise and asked of ``space.eq_dist`` and
+``oracle_B``.  Sampling can only certify violations (with replayable
+witnesses); "no violation found in n samples" is reported as exactly that.
 """
 
 from __future__ import annotations
@@ -28,18 +30,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geometry import EXACT, ExactPoint, Point, Space, affine_combination, point_to_record
-from .kernel import int_between as _int_between
+from .geometry import EXACT, ExactPoint, Point, Space, point_to_record
+from .kernel import FloatKernel, int_between as _int_between
 from .oracles import oracle_B
-from .sampling import (
-    Matrix,
-    choice,
-    generator_rows,
-    isometry_generators,
-    rand_point,
-    randint,
-)
-from .scalars import format_exact
+from .sampling import Matrix, choice, generator_rows, isometry_generators, randint
+from .scalars import float_eq, format_exact
 
 
 class MapError(ValueError):
@@ -239,9 +234,10 @@ def _integer_matrix(m: Matrix) -> tuple[int, int, int, int, int]:
 
 
 class _Samples(NamedTuple):
-    """Drawn samples in columns: each sample (float: a tuple of points; exact:
-    an integer row x1, y1, x2, y2, ..., w over one positive denominator w),
-    whether the relation holds on it, and its difference vectors (exact only)."""
+    """Drawn samples in columns: each sample as a row of coordinates (float:
+    doubles x1, y1, x2, y2, ...; exact: integers x1, y1, x2, y2, ..., w over
+    one positive denominator w), whether the relation holds on it, and its
+    difference vectors (exact only)."""
 
     samples: list[tuple]
     pre: list[bool]
@@ -249,11 +245,29 @@ class _Samples(NamedTuple):
 
 
 def _points(space: Space, sample: tuple) -> tuple[Point, ...]:
-    """A sample's points; only here do exact rows become points."""
+    """A sample's points; only here do rows become points."""
     if space.backend != EXACT:
-        return sample
+        return tuple(Point(x, y) for x, y in zip(sample[::2], sample[1::2]))
     *coords, w = sample
     return tuple(ExactPoint(x, y, w) for x, y in zip(coords[::2], coords[1::2]))
+
+
+def _float_point(rng: random.Random) -> tuple[float, float]:
+    """``rand_point``'s float draw, as two doubles."""
+    x = randint(rng, -24, 24) / randint(rng, 1, 8)
+    return x, randint(rng, -24, 24) / randint(rng, 1, 8)
+
+
+def _float_eq_dist(kernel: FloatKernel, row: tuple) -> bool:
+    """d(a,b) = d(c,d) on a row (ax, ay, bx, by, cx, cy, dx, dy), as ``kernel.eq_dist``."""
+    ax, ay, bx, by, cx, cy, dx, dy = row
+    return float_eq(kernel.length(ax - bx, ay - by), kernel.length(cx - dx, cy - dy), kernel.tol)
+
+
+def _float_between(kernel: FloatKernel, row: tuple) -> bool:
+    """B(a, b, c) on a row (ax, ay, bx, by, cx, cy), as ``kernel.between``."""
+    ax, ay, bx, by, cx, cy = row
+    return kernel.between_vectors(bx - ax, by - ay, cx - ax, cy - ay)
 
 
 def _draw_quadruples(space: Space, rng: random.Random, n: int) -> _Samples:
@@ -261,7 +275,7 @@ def _draw_quadruples(space: Space, rng: random.Random, n: int) -> _Samples:
     ones essentially never are; ``pre`` is d(a,b) = d(c,d), the vectors are b-a and d-c."""
     drawn = _Samples([], [], [])
     exact = space.backend == EXACT
-    point = _int_point if exact else lambda rng: rand_point(space, rng)
+    point = _int_point if exact else _float_point
     generators = generator_rows(space)
     length = _INT_LENGTH.get(space.norm.kind)
     for _ in range(n):
@@ -280,8 +294,8 @@ def _draw_quadruples(space: Space, rng: random.Random, n: int) -> _Samples:
             drawn.vectors.append((ux, uy, vx, vy))
             drawn.pre.append(length(ux, uy) == length(vx, vy))
         else:
-            drawn.samples.append(points := (Point(ax, ay), Point(bx, by), Point(cx, cy), Point(dx, dy)))
-            drawn.pre.append(space.eq_dist(*points))
+            drawn.samples.append(row := (ax, ay, bx, by, cx, cy, dx, dy))
+            drawn.pre.append(_float_eq_dist(space.kernel, row))
     return drawn
 
 
@@ -290,7 +304,7 @@ def _draw_triples(space: Space, rng: random.Random, n: int) -> _Samples:
     B(a, b, c), the vectors are b-a and c-a."""
     drawn = _Samples([], [], [])
     exact = space.backend == EXACT
-    point = _int_point if exact else lambda rng: rand_point(space, rng)
+    point = _int_point if exact else _float_point
     for _ in range(n):
         (ax, ay), (cx, cy) = point(rng), point(rng)
         den = randint(rng, 2, 16)  # t is drawn as choice((0, 1, rand_unit_fraction(rng)))
@@ -300,21 +314,11 @@ def _draw_triples(space: Space, rng: random.Random, n: int) -> _Samples:
             drawn.samples.append((den * ax, den * ay, den * ax + px, den * ay + py, den * cx, den * cy, den * _W))
             drawn.vectors.append((px, py, qx, qy))
             drawn.pre.append(_int_between(px, py, qx, qy))
-        else:  # num / den rounds once, as float(Fraction(num, den)) does
-            a, c = Point(ax, ay), Point(cx, cy)
-            drawn.samples.append(points := (a, affine_combination(a, c, num / den), c))
-            drawn.pre.append(oracle_B(space, *points))
+        else:  # b as affine_combination(a, c, t) builds it; num / den rounds once, as float(Fraction) does
+            t = num / den
+            drawn.samples.append(row := (ax, ay, ax + t * (cx - ax), ay + t * (cy - ay), cx, cy))
+            drawn.pre.append(_float_between(space.kernel, row))
     return drawn
-
-
-def _pointwise(plane_map: PlaneMap, backend: str):
-    """The map as a point function; a float affine map converts its
-    coefficients once, with the same operations as ``PlaneMap.apply``."""
-    if backend == EXACT or plane_map.kind != "affine":
-        return plane_map.apply
-    m0, m1, m2, m3 = (float(v) for v in plane_map.matrix)
-    s0, s1 = (float(v) for v in plane_map.shift)
-    return lambda p: Point(m0 * p.x + m1 * p.y + s0, m2 * p.x + m3 * p.y + s1)
 
 
 def _classify(
@@ -322,14 +326,20 @@ def _classify(
 ) -> PreservationReport:
     """Decide each drawn sample's image under the map and count violations.
 
-    Exact affine maps are decided on the samples' integer difference
-    vectors: translation drops out, and the linear part is cleared to
-    integers by a positive factor, which changes no comparison.  Other maps
-    are applied pointwise and the images go to ``space.eq_dist`` and
-    ``oracle_B``.  Witnesses are the original points of the first violation
-    of each kind.
+    Affine maps are decided on rows.  Exact ones use the samples' integer
+    difference vectors: translation drops out, and the linear part is
+    cleared to integers by a positive factor, which changes no comparison.
+    Float ones map each row's coordinates as ``PlaneMap.apply`` maps a
+    point, and the image rows go through the same tolerant arithmetic as
+    the pre-answers.  Nonlinear maps are applied pointwise and the images
+    go to ``space.eq_dist`` and ``oracle_B``.  Witnesses are the original
+    points of the first violation of each kind.
     """
-    if space.backend == EXACT and plane_map.kind == "affine":
+    if plane_map.kind != "affine":
+        apply = plane_map.apply
+        post = [space.eq_dist(*map(apply, _points(space, q))) for q in quads.samples]
+        post_between = [pre and oracle_B(space, *map(apply, _points(space, t))) for pre, t in zip(triples.pre, triples.samples)]
+    elif space.backend == EXACT:
         length = _INT_LENGTH[space.norm.kind]
         m11, m12, m21, m22, _ = _integer_matrix(plane_map.matrix)
         post = [
@@ -340,10 +350,21 @@ def _classify(
             _int_between(m11 * px + m12 * py, m21 * px + m22 * py, m11 * qx + m12 * qy, m21 * qx + m22 * qy)
             for px, py, qx, qy in triples.vectors
         ]
-    else:
-        apply = _pointwise(plane_map, space.backend)
-        post = [space.eq_dist(*map(apply, _points(space, q))) for q in quads.samples]
-        post_between = [pre and oracle_B(space, *map(apply, _points(space, t))) for pre, t in zip(triples.pre, triples.samples)]
+    else:  # each point goes through the coefficients in the order of PlaneMap.apply
+        m0, m1, m2, m3 = (float(v) for v in plane_map.matrix)
+        s0, s1 = (float(v) for v in plane_map.shift)
+        kernel = space.kernel
+        post = [
+            _float_eq_dist(kernel, (m0 * ax + m1 * ay + s0, m2 * ax + m3 * ay + s1, m0 * bx + m1 * by + s0,
+                                    m2 * bx + m3 * by + s1, m0 * cx + m1 * cy + s0, m2 * cx + m3 * cy + s1,
+                                    m0 * dx + m1 * dy + s0, m2 * dx + m3 * dy + s1))
+            for ax, ay, bx, by, cx, cy, dx, dy in quads.samples
+        ]
+        post_between = [
+            pre and _float_between(kernel, (m0 * ax + m1 * ay + s0, m2 * ax + m3 * ay + s1, m0 * bx + m1 * by + s0,
+                                            m2 * bx + m3 * by + s1, m0 * cx + m1 * cy + s0, m2 * cx + m3 * cy + s1))
+            for pre, (ax, ay, bx, by, cx, cy) in zip(triples.pre, triples.samples)
+        ]
     rep.quadruples += len(quads.samples)
     rep.triples += len(triples.samples)
     # a map that changes no answer, as every similarity, records nothing

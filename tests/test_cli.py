@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import equitower
 from equitower.cli import build_parser, main
 
 
@@ -150,6 +155,9 @@ GOLDEN_VOGT_SHA256 = {
     ("linf", "exact"): "500f43411ca1b950e213919c2ed17b2d6c5c697ac8932e68c1a5bae72852c059",
     ("l2", "exact"): "6b456870634c4745c67e16043f57e98d3b4984538340f1b28023b46010c249c8",
     ("l2", "float"): "63d92a2f79d963e9fbf093bd0293a16fdbb571add92995c4bc70542e14e2c99f",
+    ("l1", "float"): "9405e6ce0fd56c8aa8a88a401ed344fbc36a8c660608fb4d77beb1ac2e8df3fb",
+    ("linf", "float"): "a9d7f790692b4d917080368a7440fa30d49b44734aeeb57b032246f2e4759f95",
+    ("lp:3", "float"): "5256c6ca43b10dd570555230394be894ef8778d8e2b8493a7cbe19ee3c9c0798",
 }
 
 
@@ -399,6 +407,12 @@ class TestChainCap:
 
 
 class TestHelp:
+    def test_package_runs_as_a_module(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(equitower.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "equitower", "--help"], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: equitower")
+
     def test_every_flag_documents_its_default(self):
         parser = build_parser()
         for command, flags in {
