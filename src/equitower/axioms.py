@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -78,31 +78,24 @@ class AxiomReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "norm": self.norm,
-            "backend": self.backend,
-            "samples": self.samples,
-            "violations": self.violations,
-            "witnesses": self.witnesses,
-            "skipped": self.skipped,
-            "not_applicable": self.not_applicable,
-            "incomplete": self.incomplete,
-            "extra": self.extra,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
-def _new_report(axiom: str, space: Space, seed: int) -> AxiomReport:
-    return AxiomReport(axiom=axiom, norm=space.norm.label(), backend=space.backend, seed=seed)
+def _run(axiom: str, space: Space, count: int, seed: int, draw: Callable) -> AxiomReport:
+    """The loop every check shares: ``count`` instances on one seeded stream,
+    each drawn and classified into the report by ``draw(rng, rep)``."""
+    rng = random.Random(seed)
+    rep = AxiomReport(axiom=axiom, norm=space.norm.label(), backend=space.backend, seed=seed)
+    for _ in range(count):
+        rep.samples += 1
+        draw(rng, rep)
+    return rep
 
 
 def check_axiom_a(space: Space, samples: int, seed: int) -> AxiomReport:
     """Equidistance is a nondegenerate equivalence between segments."""
-    rng = random.Random(seed)
-    rep = _new_report("a", space, seed)
-    for _ in range(samples):
-        rep.samples += 1
+
+    def draw(rng: random.Random, rep: AxiomReport) -> None:
         a, b, c = (rand_point(space, rng) for _ in range(3))
         if not space.eq_dist(a, b, b, a):
             rep.flag(space, "symmetry ab=ba", {"a": a, "b": b})
@@ -120,26 +113,22 @@ def check_axiom_a(space: Space, samples: int, seed: int) -> AxiomReport:
         probe_b = a if rng.random() < 0.5 else b
         if space.eq_dist(a, probe_b, c, c) and not space.points_eq(a, probe_b):
             rep.flag(space, "nondegeneracy ab=cc -> a=b", {"a": a, "b": probe_b, "c": c})
-    return rep
 
-
-def _transport_sample(space: Space, rng: random.Random) -> tuple[Point, Point, Point]:
-    """a, b, c with |ab| / |ac| rational on this backend when a != c."""
-    if space.backend == "float" or space.norm.kind != "l2":
-        return tuple(rand_point(space, rng) for _ in range(3))
-    return rational_distance_triangle(rng)[:3]
+    return _run("a", space, samples, seed, draw)
 
 
 def check_axiom_b(space: Space, samples: int, seed: int) -> AxiomReport:
     """Segment transport: a point d on the ray opposite c from a with ab = ad."""
-    rng = random.Random(seed)
-    rep = _new_report("b", space, seed)
-    for _ in range(samples):
-        rep.samples += 1
-        a, b, c = _transport_sample(space, rng)
+
+    def draw(rng: random.Random, rep: AxiomReport) -> None:
+        # a, b, c with |ab| / |ac| rational on this backend when a != c
+        if space.backend == "float" or space.norm.kind != "l2":
+            a, b, c = (rand_point(space, rng) for _ in range(3))
+        else:
+            a, b, c = rational_distance_triangle(rng)[:3]
         if space.points_eq(a, c):
             rep.skipped += 1
-            continue
+            return
         t = space.length_ratio(a, b, a, c)
         away = p_sub(a, c)
         d = p_add(a, scale_vector(space, away, t))
@@ -151,17 +140,16 @@ def check_axiom_b(space: Space, samples: int, seed: int) -> AxiomReport:
             rep.flag(space, "transport/uniqueness", {"a": a, "b": b, "c": c, "d": d})
         else:
             rep.witnesses += 1
-    return rep
+
+    return _run("b", space, samples, seed, draw)
 
 
 def check_axiom_c_d_e(space: Space, samples: int, seed: int) -> AxiomReport:
     """(c) affine midpoints are equidistant; (d) parallelogram sides are
     congruent; (e) parallels to the base of an isosceles triangle cut off
     an isosceles triangle."""
-    rng = random.Random(seed)
-    rep = _new_report("cde", space, seed)
-    for _ in range(samples):
-        rep.samples += 1
+
+    def draw(rng: random.Random, rep: AxiomReport) -> None:
         a = rand_point(space, rng)
         b = rand_point(space, rng)
         m = midpoint(a, b)
@@ -186,14 +174,15 @@ def check_axiom_c_d_e(space: Space, samples: int, seed: int) -> AxiomReport:
                 break
         else:
             rep.skipped += 1
-            continue
+            return
         b1 = p_add(o, scale_vector(space, v, t))
         b2 = p_add(o, scale_vector(space, mate, t))
         if not space.eq_dist(o, a1, o, a2):
             rep.flag(space, "e isosceles precondition", {"o": o, "a": a1, "a2": a2})
         elif not space.eq_dist(o, b1, o, b2):
             rep.flag(space, "e isosceles parallel", {"o": o, "a": a1, "a2": a2, "b": b1, "b2": b2})
-    return rep
+
+    return _run("cde", space, samples, seed, draw)
 
 
 def _triangle_sample(space: Space, rng: random.Random):
@@ -221,14 +210,12 @@ def _triangle_sample(space: Space, rng: random.Random):
 
 def check_axiom_f(space: Space, samples: int, seed: int) -> AxiomReport:
     """Weak triangle inequality, instantiated with a' and c' on the ray b->c."""
-    rng = random.Random(seed)
-    rep = _new_report("f", space, seed)
-    for _ in range(samples):
-        rep.samples += 1
+
+    def draw(rng: random.Random, rep: AxiomReport) -> None:
         sample = _triangle_sample(space, rng)
         if sample is None:
             rep.skipped += 1
-            continue
+            return
         b, a, c, len_ba, len_ac, len_bc = sample
         t = len_ba / len_bc
         u = len_ac / len_bc
@@ -242,10 +229,11 @@ def check_axiom_f(space: Space, samples: int, seed: int) -> AxiomReport:
         )
         if not guards:
             rep.skipped += 1
-            continue
+            return
         if not oracle_B(space, b, c, c_prime):
             rep.flag(space, "f conclusion B(b,c,c')", {"a": a, "b": b, "c": c, "c2": c_prime})
-    return rep
+
+    return _run("f", space, samples, seed, draw)
 
 
 def check_axiom_g(space: Space, samples: int, seed: int) -> AxiomReport:
@@ -257,10 +245,8 @@ def check_axiom_g(space: Space, samples: int, seed: int) -> AxiomReport:
     """
     if space.backend == "exact" and space.norm.kind == "l2":
         space = Space(space.norm, "float", 1e-9)
-    rng = random.Random(seed)
-    rep = _new_report("g", space, seed)
-    for _ in range(samples):
-        rep.samples += 1
+
+    def draw(rng: random.Random, rep: AxiomReport) -> None:
         p = rand_positive_fraction(rng, span=8)
         q = rand_positive_fraction(rng, span=8)
         lo, hi = abs(p - q), p + q
@@ -283,7 +269,7 @@ def check_axiom_g(space: Space, samples: int, seed: int) -> AxiomReport:
                 rep.flag(space, "g missing triangle", {"base": base, "other": apex_base})
             else:
                 rep.not_applicable += 1
-            continue
+            return
         sides_ok = (
             space.length_is(base, apex_base, r)
             and space.length_is(base, apex, p)
@@ -293,29 +279,23 @@ def check_axiom_g(space: Space, samples: int, seed: int) -> AxiomReport:
             rep.witnesses += 1
         else:
             rep.flag(space, "g side lengths", {"base": base, "other": apex_base, "apex": apex})
-    return rep
+
+    return _run("g", space, samples, seed, draw)
 
 
-def check_axiom_h(
-    space: Space,
-    samples: int,
-    seed: int,
-    schnabel_samples: int = 0,
-    trunc: TruncationParams | None = None,
-) -> AxiomReport:
+def check_axiom_h(space: Space, samples: int, seed: int, schnabel_samples: int = 0) -> AxiomReport:
     """Totality of segment-length order, plus the defining order formula
     evaluated over refuter-closed universes against the order oracle."""
-    rng = random.Random(seed)
-    rep = _new_report("h", space, seed)
-    for _ in range(samples):
-        rep.samples += 1
+
+    def draw(rng: random.Random, rep: AxiomReport) -> None:
         a, b, c, d = (rand_point(space, rng) for _ in range(4))
         if not (oracle_le(space, a, b, c, d) or oracle_le(space, c, d, a, b)):
             rep.flag(space, "h totality", {"a": a, "b": b, "c": c, "d": d})
+
+    rep = _run("h", space, samples, seed, draw)
     if schnabel_samples:
-        trunc = trunc or TruncationParams()
         formula_space = verification_space(LE, space.norm, tolerance=max(space.tolerance, 1e-9))
-        layer = verify_layer(formula_space, LE, trunc, schnabel_samples, seed + 1)
+        layer = verify_layer(formula_space, LE, TruncationParams(), schnabel_samples, seed + 1)
         rep.extra["order_formula"] = {
             "backend": formula_space.backend,
             "samples": layer.samples,
@@ -331,11 +311,9 @@ def check_axiom_i(space: Space, samples: int, seed: int, chain_cap: int = 12) ->
     the ray, with parallelogram rungs transporting the step."""
     if chain_cap < 2:
         raise ValueError(f"the chain cap must be at least 2, got {chain_cap}")
-    rng = random.Random(seed)
-    rep = _new_report("i", space, seed)
     found_ns: list[int] = []
-    for _ in range(samples):
-        rep.samples += 1
+
+    def draw(rng: random.Random, rep: AxiomReport) -> None:
         a = rand_point(space, rng)
         step = rand_nonzero_vector(space, rng)
         x1 = rand_point(space, rng)
@@ -347,7 +325,7 @@ def check_axiom_i(space: Space, samples: int, seed: int, chain_cap: int = 12) ->
         ys = [p_add(x, rung) for x in xs]
         if not (oracle_B(space, x1, xs[1], target) or oracle_B(space, x1, target, xs[1])):
             rep.flag(space, "i ray guard", {"x1": x1, "x2": xs[1], "d": target})
-            continue
+            return
         found = None
         for n in range(2, chain_cap + 1):
             if oracle_B(space, x1, target, xs[n - 1]):
@@ -355,10 +333,10 @@ def check_axiom_i(space: Space, samples: int, seed: int, chain_cap: int = 12) ->
                 break
         if found is None:
             rep.incomplete += 1
-            continue
+            return
         if found > math.ceil(t) + 2:
             rep.flag(space, "i chain length bound", {"x1": x1, "d": target})
-            continue
+            return
         rungs_ok = all(
             oracle_parallelogram(space, xs[i], xs[i + 1], ys[i + 1], ys[i])
             and (i + 2 >= found or oracle_parallelogram(space, ys[i], ys[i + 1], xs[i + 2], xs[i + 1]))
@@ -366,9 +344,11 @@ def check_axiom_i(space: Space, samples: int, seed: int, chain_cap: int = 12) ->
         )
         if not rungs_ok:
             rep.flag(space, "i parallelogram rungs", {"x1": x1})
-            continue
+            return
         rep.witnesses += 1
         found_ns.append(found)
+
+    rep = _run("i", space, samples, seed, draw)
     if found_ns:
         rep.extra["min_chain"] = min(found_ns)
         rep.extra["max_chain"] = max(found_ns)
@@ -386,17 +366,22 @@ CHECKERS: dict[str, Callable] = {
 }
 
 
+def run_axiom(
+    name: str, space: Space, samples: int, constructions: int, seed: int, chain_cap: int = 12
+) -> AxiomReport:
+    """One axiom check: the existential axioms b, g and i draw
+    ``constructions`` instances, the universal ones ``samples``; h also
+    checks its order formula on up to 200 samples."""
+    count = constructions if name in ("b", "g", "i") else samples
+    options = {"h": {"schnabel_samples": min(200, samples)}, "i": {"chain_cap": chain_cap}}
+    return CHECKERS[name](space, count, seed, **options.get(name, {}))
+
+
 def run_axiom_suite(
     space: Space, samples: int, seed: int, constructions: int = 1000, chain_cap: int = 12
 ) -> list[AxiomReport]:
-    """All axiom checks: ``samples`` universal instantiations, ``constructions``
-    existential ones."""
+    """All axiom checks, in ``CHECKERS`` order, the k-th seeded ``seed + k``."""
     return [
-        check_axiom_a(space, samples, seed),
-        check_axiom_b(space, constructions, seed + 1),
-        check_axiom_c_d_e(space, samples, seed + 2),
-        check_axiom_f(space, samples, seed + 3),
-        check_axiom_g(space, constructions, seed + 4),
-        check_axiom_h(space, samples, seed + 5, schnabel_samples=min(200, samples)),
-        check_axiom_i(space, constructions, seed + 6, chain_cap=chain_cap),
+        run_axiom(name, space, samples, constructions, seed + k, chain_cap)
+        for k, name in enumerate(CHECKERS)
     ]

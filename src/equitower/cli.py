@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .axioms import CHECKERS, check_axiom_h, check_axiom_i, run_axiom_suite
+from .axioms import CHECKERS, run_axiom, run_axiom_suite
 from .closure import IncompleteClosureError, close_midpoints, closure_for_relation
 from .formulas.ast import SchemaRef, format_formula, free_point_vars
 from .formulas.evaluator import AS_FORMULA, AS_ORACLE, ImplMap, eval_formula
@@ -200,21 +200,11 @@ def cmd_verify_layer(args) -> int:
 def cmd_check_axioms(args) -> int:
     space = _space_from_args(args)
     if args.axiom == "all":
-        reports = run_axiom_suite(
-            space, args.samples, args.seed, constructions=args.constructions, chain_cap=args.chain_cap
-        )
+        reports = run_axiom_suite(space, args.samples, args.seed, args.constructions, args.chain_cap)
+    elif args.axiom in CHECKERS:
+        reports = [run_axiom(args.axiom, space, args.samples, args.constructions, args.seed, args.chain_cap)]
     else:
-        checker = CHECKERS.get(args.axiom)
-        if checker is None:
-            raise GeometryError(f"unknown axiom {args.axiom!r}; use one of {sorted(CHECKERS)} or all")
-        if checker is check_axiom_i:
-            reports = [checker(space, args.constructions, args.seed, chain_cap=args.chain_cap)]
-        elif checker is check_axiom_h:
-            reports = [checker(space, args.samples, args.seed, schnabel_samples=min(200, args.samples))]
-        elif args.axiom in ("b", "g"):
-            reports = [checker(space, args.constructions, args.seed)]
-        else:
-            reports = [checker(space, args.samples, args.seed)]
+        raise GeometryError(f"unknown axiom {args.axiom!r}; use one of {sorted(CHECKERS)} or all")
     payload = [r.to_dict() for r in reports]
     if args.output:
         write_report(args.output, payload)

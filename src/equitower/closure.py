@@ -34,7 +34,6 @@ from .geometry import (
 from .oracles import RelationId, oracle_psi
 from .sampling import scale_vector
 from .universe import (
-    DEFAULT_SIZE_CAP,
     TAG_CHAIN,
     TAG_MIDPOINT,
     TAG_REFUTER,
@@ -48,11 +47,11 @@ class IncompleteClosureError(GeometryError):
     """The requested chain cannot be completed within the length cap."""
 
 
-def close_midpoints(space: Space, points, depth: int, size_cap: int = DEFAULT_SIZE_CAP) -> Universe:
+def close_midpoints(space: Space, points, depth: int) -> Universe:
     """All iterated pairwise affine midpoints of ``points`` to ``depth``."""
     if depth < 1:
         raise GeometryError("midpoint closure needs depth >= 1")
-    uni = Universe(space, points, size_cap=size_cap)
+    uni = Universe(space, points)
     for _ in range(depth):
         fresh = []
         pts = uni.points
@@ -72,30 +71,19 @@ def dyadic_chain(a: Point, c: Point, level: int) -> list[Point]:
     return [affine_combination(a, c, i * step) for i in range(2**level + 1)]
 
 
-def close_for_alpha_beta(
-    space: Space, a: Point, b: Point, n: int, k: int, size_cap: int = DEFAULT_SIZE_CAP
-) -> Universe:
+def close_for_alpha_beta(space: Space, a: Point, b: Point, n: int, k: int) -> Universe:
     """Ray multiples a + i(b-a) for i <= n and dyadic points a + 2^(-j)(b-a) for j <= k."""
     if space.points_eq(a, b):
         raise GeometryError("alpha/beta closure needs a != b")
     pts = [affine_combination(a, b, i) for i in range(0, n + 1)]
     pts.extend(affine_combination(a, b, Fraction(1, 2**j)) for j in range(0, k + 1))
-    return Universe(space, [a, b], size_cap=size_cap).add(pts, TAG_CHAIN)
+    return Universe(space, [a, b]).add(pts, TAG_CHAIN)
 
 
-def close_for_psi(
-    space: Space,
-    a: Point,
-    b: Point,
-    c: Point,
-    d: Point,
-    n: int,
-    k: int,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> Universe:
+def close_for_psi(space: Space, a: Point, b: Point, c: Point, d: Point, n: int, k: int) -> Universe:
     """Scaffolding for PSI(n,k): the beta point v, the alpha chain on (a,v),
     and, when the relation holds, a constructed witness e."""
-    uni = Universe(space, [a, b, c, d], size_cap=size_cap)
+    uni = Universe(space, [a, b, c, d])
     if space.points_eq(a, b):
         return uni
     scale = Fraction(1, 2**k)
@@ -110,9 +98,7 @@ def close_for_psi(
     return uni.add([e], TAG_SPHERE)
 
 
-def close_for_delta(
-    space: Space, x: Point, y: Point, z: Point, n_max: int, size_cap: int = DEFAULT_SIZE_CAP
-) -> Universe:
+def close_for_delta(space: Space, x: Point, y: Point, z: Point, n_max: int) -> Universe:
     """Chain points from x toward z with every step of length d(x,y).
 
     Full steps land on segment xz; a remainder is closed by a two-step
@@ -122,7 +108,7 @@ def close_for_delta(
     """
     if space.points_eq(x, y):
         raise GeometryError("delta closure needs x != y")
-    uni = Universe(space, [x, y, z], size_cap=size_cap)
+    uni = Universe(space, [x, y, z])
     step = space.length_value(x, y)
     # minimal step count, judged with the same comparisons the oracle uses
     min_steps = next(
@@ -174,13 +160,10 @@ def _refuter_points(
     raise GeometryError(f"no refuter recipe for {rel.label()}")
 
 
-def add_refuters(
-    space: Space, rel: RelationId, points: tuple[Point, ...], chain_max: int = 8,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> Universe:
+def add_refuters(space: Space, rel: RelationId, points: tuple[Point, ...], chain_max: int = 8) -> Universe:
     """``points`` plus their analytic counterexample points."""
     refuters = _refuter_points(space, rel, points, chain_max)
-    return Universe(space, points, size_cap=size_cap).add(refuters, TAG_REFUTER)
+    return Universe(space, points).add(refuters, TAG_REFUTER)
 
 
 def _pick_witness(candidates: list[Point], breeding_test) -> Point:
@@ -270,11 +253,7 @@ def _fixpoint(space: Space, uni: Universe, round_fn, tag: str, rounds: int = 12)
 
 
 def closure_for_relation(
-    space: Space,
-    rel: RelationId,
-    points: tuple[Point, ...],
-    trunc: TruncationParams,
-    size_cap: int = DEFAULT_SIZE_CAP,
+    space: Space, rel: RelationId, points: tuple[Point, ...], trunc: TruncationParams
 ) -> Universe:
     """The witness/refuter-closed universe for checking ``rel`` on ``points``."""
     name = rel.name
@@ -284,7 +263,7 @@ def closure_for_relation(
         # breed accidental antecedent pairs (fatal in box norms, where whole
         # wedges are equidistant from a segment's endpoints by dominance)
         a, b, c, d = points
-        uni = Universe(space, _refuter_points(space, rel, points), TAG_REFUTER, size_cap=size_cap)
+        uni = Universe(space, _refuter_points(space, rel, points), TAG_REFUTER)
         if space.points_eq(c, d):
             uni = uni.add([c], TAG_SPHERE)
         else:
@@ -292,16 +271,16 @@ def closure_for_relation(
         return _fixpoint(space, uni, lambda u: _equiv2_witness_round(space, u, a, b, c, d), TAG_SPHERE)
     if name == "LE":
         a, b, c, d = points
-        uni = Universe(space, _refuter_points(space, rel, points), TAG_REFUTER, size_cap=size_cap)
+        uni = Universe(space, _refuter_points(space, rel, points), TAG_REFUTER)
         return _fixpoint(space, uni, lambda u: _le_witness_round(space, u, a, b, c, d), TAG_SPHERE)
     if name == "NEQ":
-        uni = Universe(space, points, size_cap=size_cap)
+        uni = Universe(space, points)
         if space.points_eq(*points):
             uni = uni.add(_refuter_points(space, rel, points, trunc.chain_max), TAG_REFUTER)
         return uni
     if name in ("ALPHA", "BETA"):
         a, b, _ = points
-        uni = Universe(space, points, size_cap=size_cap)
+        uni = Universe(space, points)
         if space.points_eq(a, b):
             return uni
         n, k = (rel.indices[0], 0) if name == "ALPHA" else (0, rel.indices[0])
@@ -309,12 +288,12 @@ def closure_for_relation(
     if name == "PSI":
         a, b, c, d = points
         n, k = rel.indices
-        return close_for_psi(space, a, b, c, d, n, k, size_cap=size_cap)
+        return close_for_psi(space, a, b, c, d, n, k)
     if name in ("GAMMA", "COLLINEAR"):
-        return Universe(space, points, size_cap=size_cap)
+        return Universe(space, points)
     if name == "B":
         a, b, c = points
-        uni = Universe(space, points, size_cap=size_cap)
+        uni = Universe(space, points)
         if space.points_eq(a, c):
             return uni
         chain: list[Point] = []
@@ -323,16 +302,16 @@ def closure_for_relation(
         return uni.add(chain, TAG_MIDPOINT)
     if name == "DELTA":
         z0, x, zn = points
-        uni = Universe(space, points, size_cap=size_cap)
+        uni = Universe(space, points)
         if rel.indices[0] == 1 or space.points_eq(z0, x):
             return uni  # DELTA(1) is one atom, d(z0,zn) = d(z0,x): it quantifies over nothing
         try:
-            chain_uni = close_for_delta(space, z0, x, zn, rel.indices[0], size_cap=size_cap)
+            chain_uni = close_for_delta(space, z0, x, zn, rel.indices[0])
         except IncompleteClosureError:
             return uni  # unreachable target: the formula is false on inputs alone
         return uni.add(chain_uni.points, TAG_CHAIN)
     if name in ("M", "PHI"):
-        uni = Universe(space, points, size_cap=size_cap)
+        uni = Universe(space, points)
         end_a, end_b = (points[0], points[2]) if name == "M" else (points[0], points[1])
         if space.points_eq(end_a, end_b):
             return uni

@@ -21,7 +21,7 @@ with affine betweenness.  Both behaviors are pinned by regression tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from ..oracles import RELATIONS, RelationId
@@ -79,15 +79,7 @@ class TruncationParams:
             raise SchemaError(f"b_mode must be one of {B_MODES}")
 
     def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "N": self.N,
-            "b_depth": self.b_depth,
-            "chain_max": self.chain_max,
-            "phi_depth": self.phi_depth,
-            "adaptive_n": self.adaptive_n,
-            "b_mode": self.b_mode,
-        }
+        return asdict(self)
 
 
 def _equi(*names_or_terms) -> AtomEqui:

@@ -22,7 +22,7 @@ tolerance instead.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from ..closure import closure_for_relation
@@ -80,17 +80,7 @@ class LayerReport:
         return not self.counterexamples
 
     def to_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "norm": self.norm,
-            "backend": self.backend,
-            "tolerance": self.tolerance,
-            "trunc": self.trunc,
-            "samples": self.samples,
-            "agreements": self.agreements,
-            "counterexamples": self.counterexamples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def verify_layer(

@@ -489,7 +489,9 @@ def _lp_float_intersection(space: Space, c: Point, radius_c: float, d: Point, ra
     best = min(range(len(values)), key=lambda i: abs(values[i]))
     bracket = None
     for i in range(grid):
-        if values[i] == 0.0 or values[i] * values[i + 1] < 0.0:
+        if values[i] == 0.0:  # a bracket opened here would bisect away from it
+            return on_ball(thetas[i])
+        if values[i] * values[i + 1] < 0.0:
             bracket = (thetas[i], thetas[i + 1], values[i])
             break
     if bracket is None:

@@ -19,27 +19,20 @@ TAG_CHAIN = "chain-closure"
 TAG_SPHERE = "sphere-witness"
 TAG_REFUTER = "refuter"
 
-DEFAULT_SIZE_CAP = 10_000
+SIZE_CAP = 10_000  # most points a universe may hold
 
 
 class UniverseOverflowError(GeometryError):
-    """Closure would exceed the configured universe size cap."""
+    """Closure would exceed the universe size cap."""
 
 
 class Universe:
-    __slots__ = ("space", "points", "tags", "size_cap")
+    __slots__ = ("space", "points", "tags")
 
-    def __init__(
-        self,
-        space: Space,
-        points: Iterable[Point] = (),
-        tags: Iterable[str] | str = TAG_INPUT,
-        size_cap: int = DEFAULT_SIZE_CAP,
-    ):
+    def __init__(self, space: Space, points: Iterable[Point] = (), tags: Iterable[str] | str = TAG_INPUT):
         self.space = space
         self.points: tuple[Point, ...] = ()
         self.tags: tuple[str, ...] = ()
-        self.size_cap = size_cap
         pts = tuple(points)
         tag_list = [tags] * len(pts) if isinstance(tags, str) else list(tags)
         if len(tag_list) != len(pts):
@@ -64,10 +57,8 @@ class Universe:
                 continue  # float dedup stays tolerance-aware
             out_p.append(p)
             out_t.append(t)
-        if len(out_p) > self.size_cap:
-            raise UniverseOverflowError(
-                f"universe would hold {len(out_p)} points (cap {self.size_cap})"
-            )
+        if len(out_p) > SIZE_CAP:
+            raise UniverseOverflowError(f"universe would hold {len(out_p)} points (cap {SIZE_CAP})")
         return tuple(out_p), tuple(out_t)
 
     def add(self, points: Iterable[Point], tag: str) -> "Universe":
@@ -78,7 +69,6 @@ class Universe:
         child.space = self.space
         child.points = self.points
         child.tags = self.tags
-        child.size_cap = self.size_cap
         child.points, child.tags = child._merge(pts, [tag] * len(pts))
         return child
 
@@ -103,7 +93,7 @@ class Universe:
         return out
 
     @staticmethod
-    def from_records(space: Space, records: list[dict], size_cap: int = DEFAULT_SIZE_CAP) -> "Universe":
+    def from_records(space: Space, records: list[dict]) -> "Universe":
         pts = [point_from_record(space, rec) for rec in records]
         tags = [rec.get("tag", TAG_INPUT) for rec in records]
-        return Universe(space, pts, tags, size_cap=size_cap)
+        return Universe(space, pts, tags)

@@ -244,6 +244,53 @@ def test_float_box_norm_constructions_pass(tmp_path, argv):
     assert main(argv + ["--backend", "float", "--seed", "1", "--output", str(out)]) == 0
 
 
+def test_float_lp_suite_passes_at_tangency(tmp_path):
+    # axiom g draws tangent spheres (r = |p - q| or p + q) on a fifth of its instances
+    out = tmp_path / "report.json"
+    argv = ["check-axioms", "--norm", "lp:3", "--backend", "float", "--seed", "5",
+            "--samples", "300", "--constructions", "150", "--output", str(out)]
+    assert main(argv) == 0
+    assert all(rep["violations"] == [] for rep in json.loads(out.read_text()))
+
+
+# SHA-256 of the seeded axiom reports: the whole suite from
+# `check-axioms --axiom all --samples 300 --constructions 150 --seed 5`, and
+# each axiom alone from
+# `check-axioms --axiom X --samples 200 --constructions 100 --chain-cap 6 --seed 9`.
+GOLDEN_AXIOM_SHA256 = {
+    ("all", "l1", "exact"): "58c6583fa4abb23afcc9306f7d9f91fd866211fe40a6bee2b39d3e8e6b4fa60f",
+    ("all", "l2", "exact"): "d42bbf34a6d88034c74525e0f52e4d5842f0378ef64c590697f662950ae430f0",
+    ("all", "linf", "exact"): "34c594bd54e5557d7a3a053cd8f8c7519e29f1d64f4427af2b8fa007cacb7dee",
+    ("all", "l2", "float"): "9fb56f2c74e6d325e2779b80a267d416d38044beaaf44f4b94ba8ba69b34e457",
+    ("a", "l1", "exact"): "cfb61892b9e8b4558d164c77c1b24ca191cdd4ea7d0fa2010a1fee06b4e234ce",
+    ("b", "l1", "exact"): "8c8a75a3ed4f07792bbc85ee90371c6174b210f57efd4519818830581d8aed72",
+    ("cde", "l1", "exact"): "87263bf1ddf6a01e8a42360d06b4e01f27914491088f26d997622c287a69dff8",
+    ("f", "l1", "exact"): "fefde943544a2a33eb4153b6b9bd353a2c4e9f1baedd947813a4253ed8832c4e",
+    ("g", "l1", "exact"): "757dd045863e13368818c15a505b3112a69ec25b3eb690cd8033678dcbc49f5d",
+    ("h", "l1", "exact"): "48288fb9ba4e8b0b20a4879c235fa02ff0971a91f076de8fea1738162afe7679",
+    ("i", "l1", "exact"): "c6320051738a08ffa589cdeb4486635717cf3c385011602ebf2089d6da7010dd",
+    ("a", "l2", "float"): "3a462dca57399cac218697c63e724255f7d7f02d341ba69969c5a97c4c256af0",
+    ("b", "l2", "float"): "5da0e3ffd7215a096c3e0a71462820d6fb48517d1012ca52e6edb45bb2ebfd0c",
+    ("cde", "l2", "float"): "7997981516b52ecb6d0638b88fa740fc4b13692d0a4b08b89331651abc0aac68",
+    ("f", "l2", "float"): "3d70b736d08f65d9aecec492359b4f42c7ed618a128df663ca56a8651ea3449e",
+    ("g", "l2", "float"): "85c74e7640386c8a659dcc13d15e3b456d598239eb8fa39785b867deb4b83db7",
+    ("h", "l2", "float"): "ce4e78e608212f94423ce79ae1ba87a10a68c2be088274e9c5cb9f56a98367ca",
+    ("i", "l2", "float"): "960cd5134c0adab1ee63a05b1c1000d1428ac825029f9a1613f9ad4637c6aeb2",
+}
+
+
+@pytest.mark.parametrize("axiom,norm,backend", sorted(GOLDEN_AXIOM_SHA256))
+def test_axiom_report_bytes_are_pinned(tmp_path, axiom, norm, backend):
+    out = tmp_path / "report.json"
+    if axiom == "all":
+        sizes = ["--samples", "300", "--constructions", "150", "--seed", "5"]
+    else:
+        sizes = ["--samples", "200", "--constructions", "100", "--chain-cap", "6", "--seed", "9"]
+    argv = ["check-axioms", "--axiom", axiom, "--norm", norm, "--backend", backend, "--output", str(out)]
+    assert main(argv + sizes) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_AXIOM_SHA256[axiom, norm, backend]
+
+
 # SHA-256 of the stdout of `expand --relation LABEL` at default truncation
 # (one label per relation and index shape, plus B in strict-paper mode).
 GOLDEN_EXPAND_SHA256 = {

@@ -14,6 +14,7 @@ from equitower.closure import (
     closure_for_relation,
     dyadic_chain,
 )
+from equitower import universe
 from equitower.geometry import GeometryError
 from equitower.oracles import DELTA, PSI, RelationId
 from equitower.universe import TAG_REFUTER, TAG_SPHERE, UniverseOverflowError
@@ -42,10 +43,11 @@ class TestMidpointClosure:
         with pytest.raises(GeometryError):
             close_midpoints(S2, [pt(0, 0)], 0)
 
-    def test_overflow_guard(self):
+    def test_overflow_guard(self, monkeypatch):
+        monkeypatch.setattr(universe, "SIZE_CAP", 100)
         pts = [pt(i, j) for i in range(5) for j in range(5)]
         with pytest.raises(UniverseOverflowError):
-            close_midpoints(S2, pts, 3, size_cap=100)
+            close_midpoints(S2, pts, 3)
 
     def test_deterministic_and_fixpoint_cases(self):
         first = close_midpoints(S2, [pt(0, 0), pt(2, 0), pt(0, 2)], 2)

@@ -209,6 +209,21 @@ class TestSphereIntersection:
         assert abs(space.length_value(Point(0.0, 0.0), e) - 2.0) < 1e-8
         assert abs(space.length_value(Point(1.0, 0.5), e) - 1.5) < 1e-8
 
+    @pytest.mark.parametrize("p", ["3", "3/2"])
+    @pytest.mark.parametrize(
+        "c,radius_c,d,radius_d,want",
+        [
+            ((-1.0, -1.0), 2.0, (0.375, -1.0), 0.625, (1.0, -1.0)),  # internal
+            ((21.0, 0.0), 1.0, (21.0, 1.5), 0.5, (21.0, 1.0)),  # external
+        ],
+        ids=["internal", "external"],
+    )
+    def test_lp_tangency_on_a_grid_angle(self, p, c, radius_c, d, radius_d, want):
+        # the residual is exactly zero at the meeting point's grid angle
+        space = Space(lp(p), "float", 1e-9)
+        e = sphere_intersection_point(space, Point(*c), radius_c, Point(*d), radius_d)
+        assert (e.x, e.y) == pytest.approx(want)
+
     def test_equal_centers_need_equal_radii(self):
         space = Space(L1, "exact")
         e = sphere_intersection_point(space, pt(1, 1), F(3), pt(1, 1), F(3))
