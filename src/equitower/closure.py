@@ -6,7 +6,9 @@ finite universe can only be faithful by construction: every existential
 witness a true instance needs is added analytically, and every universal
 subformula gets the analytic counterexample points that refute false
 instances.  Constructions re-validate their defining distance constraints
-before entering the universe.
+before entering the universe.  :func:`closure_for_relation` is the one
+recipe table: each relation's branch builds its universe once, refuters
+included, and the helpers it calls never look at a relation name.
 
 On the exact l2 backend, constructions that need a sphere-sphere
 intersection (EQUIV2's z-witnesses, PSI's e-point, DELTA's detour apexes,
@@ -71,15 +73,6 @@ def dyadic_chain(a: Point, c: Point, level: int) -> list[Point]:
     return [affine_combination(a, c, i * step) for i in range(2**level + 1)]
 
 
-def close_for_alpha_beta(space: Space, a: Point, b: Point, n: int, k: int) -> Universe:
-    """Ray multiples a + i(b-a) for i <= n and dyadic points a + 2^(-j)(b-a) for j <= k."""
-    if space.points_eq(a, b):
-        raise GeometryError("alpha/beta closure needs a != b")
-    pts = [affine_combination(a, b, i) for i in range(0, n + 1)]
-    pts.extend(affine_combination(a, b, Fraction(1, 2**j)) for j in range(0, k + 1))
-    return Universe(space, [a, b]).add(pts, TAG_CHAIN)
-
-
 def close_for_psi(space: Space, a: Point, b: Point, c: Point, d: Point, n: int, k: int) -> Universe:
     """Scaffolding for PSI(n,k): the beta point v, the alpha chain on (a,v),
     and, when the relation holds, a constructed witness e."""
@@ -138,34 +131,6 @@ def close_for_delta(space: Space, x: Point, y: Point, z: Point, n_max: int) -> U
     return uni.add(apexes, TAG_SPHERE)
 
 
-def _refuter_points(
-    space: Space, rel: RelationId, points: tuple[Point, ...], chain_max: int = 8
-) -> list[Point]:
-    """Analytic counterexample points for the universal subformulas of
-    EQUIV2 (x = mid(a,b), y = mid(a,x)), LE (m = mid(c,d)), and NEQ (a far
-    point unreachable in chain_max steps)."""
-    name = rel.name
-    if name == "EQUIV2":
-        a, b = points[0], points[1]
-        x = midpoint(a, b)
-        return [x, midpoint(a, x)]
-    if name == "LE":
-        c, d = points[2], points[3]
-        return [midpoint(c, d)]
-    if name == "NEQ":
-        x, y = points
-        if space.points_eq(x, y):
-            return [Point(x.x + 1, x.y)]
-        return [affine_combination(x, y, chain_max + 1)]
-    raise GeometryError(f"no refuter recipe for {rel.label()}")
-
-
-def add_refuters(space: Space, rel: RelationId, points: tuple[Point, ...], chain_max: int = 8) -> Universe:
-    """``points`` plus their analytic counterexample points."""
-    refuters = _refuter_points(space, rel, points, chain_max)
-    return Universe(space, points).add(refuters, TAG_REFUTER)
-
-
 def _pick_witness(candidates: list[Point], breeding_test) -> Point:
     """The first candidate that cannot create new quantifier obligations;
     falls back to the first candidate (the fixpoint loop handles the rest)."""
@@ -182,15 +147,18 @@ def _equiv2_witness_round(space: Space, uni: Universe, a, b, c, d) -> list[Point
     """
     fresh: list[Point] = []
     cd_degenerate = space.points_eq(c, d)
-    for x in uni.points:
-        if not space.eq_dist(x, a, x, b):
-            continue
+    antecedent_xs = [x for x in uni.points if space.eq_dist(x, a, x, b)]
+
+    def breeds(z: Point) -> bool:
+        if space.eq_dist(z, a, z, b):
+            return True  # would become an antecedent x itself
+        return any(space.eq_dist(z, a, z, p) for p in antecedent_xs)
+
+    for x in antecedent_xs:
         for y in uni.points:
             if not space.eq_dist(y, a, y, x):
                 continue
-            if any(
-                space.eq_dist(z, c, x, y) and space.eq_dist(z, d, x, y) for z in uni.points
-            ):
+            if any(space.eq_dist(z, c, x, y) and space.eq_dist(z, d, x, y) for z in uni.points):
                 continue
             if space.points_eq(x, y) or not space.le_dist_scaled(c, d, 2, x, y):
                 return []  # no z exists anywhere in the plane: sound refutation
@@ -200,15 +168,7 @@ def _equiv2_witness_round(space: Space, uni: Universe, a, b, c, d) -> list[Point
                 fresh.append(midpoint(c, d))
             else:
                 radius = space.length_value(x, y)
-                candidates = sphere_meets(space, c, radius, d, radius)
-                antecedent_xs = [p for p in uni.points if space.eq_dist(p, a, p, b)]
-
-                def breeds(z: Point) -> bool:
-                    if space.eq_dist(z, a, z, b):
-                        return True  # would become an antecedent x itself
-                    return any(space.eq_dist(z, a, z, p) for p in antecedent_xs)
-
-                fresh.append(_pick_witness(candidates, breeds))
+                fresh.append(_pick_witness(sphere_meets(space, c, radius, d, radius), breeds))
     return fresh
 
 
@@ -222,9 +182,7 @@ def _le_witness_round(space: Space, uni: Universe, a, b, c, d) -> list[Point]:
     for m in uni.points:
         if not space.eq_dist(c, m, d, m):
             continue
-        if any(
-            space.eq_dist(a, b, c, s) and space.eq_dist(c, m, s, m) for s in uni.points
-        ):
+        if any(space.eq_dist(a, b, c, s) and space.eq_dist(c, m, s, m) for s in uni.points):
             continue
         if not space.le_dist_scaled(a, b, 2, c, m):
             return []  # no s exists anywhere in the plane: sound refutation
@@ -233,17 +191,16 @@ def _le_witness_round(space: Space, uni: Universe, a, b, c, d) -> list[Point]:
         elif space.eq_dist_scaled(a, b, 2, c, m):
             fresh.append(p_add(c, scale_vector(space, p_sub(m, c), 2)))
         else:
-            candidates = sphere_meets(
-                space, c, space.length_value(a, b), m, space.length_value(c, m)
-            )
-            fresh.append(
-                _pick_witness(candidates, lambda z: space.eq_dist(z, c, z, d))
-            )
+            candidates = sphere_meets(space, c, space.length_value(a, b), m, space.length_value(c, m))
+            fresh.append(_pick_witness(candidates, lambda z: space.eq_dist(z, c, z, d)))
     return fresh
 
 
-def _fixpoint(space: Space, uni: Universe, round_fn, tag: str, rounds: int = 12) -> Universe:
-    for _ in range(rounds):
+FIXPOINT_ROUNDS = 12  # witness rounds before a closure is declared unstable
+
+
+def _fixpoint(uni: Universe, round_fn, tag: str) -> Universe:
+    for _ in range(FIXPOINT_ROUNDS):
         fresh = round_fn(uni)
         before = len(uni)
         uni = uni.add(fresh, tag)
@@ -263,28 +220,33 @@ def closure_for_relation(
         # breed accidental antecedent pairs (fatal in box norms, where whole
         # wedges are equidistant from a segment's endpoints by dominance)
         a, b, c, d = points
-        uni = Universe(space, _refuter_points(space, rel, points), TAG_REFUTER)
+        x = midpoint(a, b)
+        uni = Universe(space, [x, midpoint(a, x)], TAG_REFUTER)
         if space.points_eq(c, d):
             uni = uni.add([c], TAG_SPHERE)
         else:
             uni = uni.add([midpoint(c, d)], TAG_MIDPOINT)
-        return _fixpoint(space, uni, lambda u: _equiv2_witness_round(space, u, a, b, c, d), TAG_SPHERE)
+        return _fixpoint(uni, lambda u: _equiv2_witness_round(space, u, a, b, c, d), TAG_SPHERE)
     if name == "LE":
         a, b, c, d = points
-        uni = Universe(space, _refuter_points(space, rel, points), TAG_REFUTER)
-        return _fixpoint(space, uni, lambda u: _le_witness_round(space, u, a, b, c, d), TAG_SPHERE)
+        uni = Universe(space, [midpoint(c, d)], TAG_REFUTER)
+        return _fixpoint(uni, lambda u: _le_witness_round(space, u, a, b, c, d), TAG_SPHERE)
     if name == "NEQ":
+        x, y = points
         uni = Universe(space, points)
-        if space.points_eq(*points):
-            uni = uni.add(_refuter_points(space, rel, points, trunc.chain_max), TAG_REFUTER)
+        if space.points_eq(x, y):
+            uni = uni.add([Point(x.x + 1, x.y)], TAG_REFUTER)  # a zero step reaches no z != x
         return uni
     if name in ("ALPHA", "BETA"):
+        # ray multiples a + i(b-a), i <= n, and dyadic points a + 2^(-j)(b-a), j <= k
         a, b, _ = points
         uni = Universe(space, points)
         if space.points_eq(a, b):
             return uni
         n, k = (rel.indices[0], 0) if name == "ALPHA" else (0, rel.indices[0])
-        return uni.add(close_for_alpha_beta(space, a, b, n, k).points, TAG_CHAIN)
+        chain = [affine_combination(a, b, i) for i in range(n + 1)]
+        chain.extend(affine_combination(a, b, Fraction(1, 2**j)) for j in range(k + 1))
+        return uni.add(chain, TAG_CHAIN)
     if name == "PSI":
         a, b, c, d = points
         n, k = rel.indices
@@ -302,14 +264,13 @@ def closure_for_relation(
         return uni.add(chain, TAG_MIDPOINT)
     if name == "DELTA":
         z0, x, zn = points
-        uni = Universe(space, points)
-        if rel.indices[0] == 1 or space.points_eq(z0, x):
-            return uni  # DELTA(1) is one atom, d(z0,zn) = d(z0,x): it quantifies over nothing
-        try:
-            chain_uni = close_for_delta(space, z0, x, zn, rel.indices[0])
-        except IncompleteClosureError:
-            return uni  # unreachable target: the formula is false on inputs alone
-        return uni.add(chain_uni.points, TAG_CHAIN)
+        # DELTA(1) is one atom, d(z0,zn) = d(z0,x): it quantifies over nothing
+        if rel.indices[0] > 1 and not space.points_eq(z0, x):
+            try:
+                return close_for_delta(space, z0, x, zn, rel.indices[0])
+            except IncompleteClosureError:
+                pass  # unreachable target: the formula is false on inputs alone
+        return Universe(space, points)
     if name in ("M", "PHI"):
         uni = Universe(space, points)
         end_a, end_b = (points[0], points[2]) if name == "M" else (points[0], points[1])

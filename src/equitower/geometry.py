@@ -495,7 +495,14 @@ def _lp_float_intersection(space: Space, c: Point, radius_c: float, d: Point, ra
             bracket = (thetas[i], thetas[i + 1], values[i])
             break
     if bracket is None:
-        return on_ball(thetas[best])  # tangency: verified by caller
+        # tangency: in a strictly convex plane tangent spheres meet only on
+        # the line of centres, so try e = c +- (R/|cd|)(d - c) after the grid
+        candidates = [on_ball(thetas[best])]
+        gap = space.length_value(c, d)
+        if gap > 0.0:
+            ux, uy = radius_c * (d.x - c.x) / gap, radius_c * (d.y - c.y) / gap
+            candidates += [Point(c.x + ux, c.y + uy), Point(c.x - ux, c.y - uy)]
+        return next((e for e in candidates if space.length_is(d, e, radius_d)), candidates[0])
     lo, hi, flo = bracket
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -551,12 +558,12 @@ def sphere_meets(space: Space, c: Point, radius_c, d: Point, radius_d) -> list[P
     the integer pin grid on both spheres, in pin order (on exact planes,
     none when the spheres do not meet).  Float l2: the circle-circle point
     and its mirror image across the line cd.  lp: the one point of
-    :func:`sphere_intersection_point`.
+    :func:`sphere_intersection_point`, which also refuses exact l2.
     """
     kind = space.norm.kind
     if kind in ("l1", "linf"):
         return [e for _, e in _box_meets(space, c, radius_c, d, radius_d)]
-    if kind == "l2":
+    if kind == "l2" and space.backend != EXACT:
         e = _l2_float_intersection(c, radius_c, d, radius_d)
         foot_scale = 2.0
         ux, uy = d.x - c.x, d.y - c.y

@@ -10,11 +10,10 @@ the comparison path.  A length is an integer pair ``(num, den)`` with
 ``den > 0``: the l1 or linf length, or the squared l2 length, over the
 product of the two points' denominators.  Two lengths compare by
 cross-multiplication (``n1*d2 == n2*d1``), and a rational scale ``qn/qd``
-enters the same way, squared on l2.  Sums of
-l2 lengths are decided by squaring out the radicals: on integers for
-``path_sum_eq``, through :func:`equitower.scalars.cmp_radical_sums` for
-``path_defect_at_most``.  The float kernel compares doubles with
-``float_eq``/``float_le`` under the space's tolerance.
+enters the same way, squared on l2.  Sums of l2 lengths (``path_sum_eq``,
+``path_defect_at_most``) are decided by squaring out the radicals on
+integers.  The float kernel compares doubles with ``float_eq``/``float_le``
+under the space's tolerance.
 
 Kernels also own the length *values* that constructions need: the length
 d(a,b), the ratio d(a,b)/d(c,d), and the test d(a,b) = r.  Exact kernels
@@ -35,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import Rad, ceil_sqrt, cmp_radical_sums, float_eq, float_le
+from .scalars import ceil_sqrt, float_eq, float_le
 
 if TYPE_CHECKING:
     from .geometry import NormSpec, Point
@@ -211,12 +210,15 @@ class _ExactL2Kernel(ExactKernel):
         return lead >= 0 and lead * lead == 4 * n1 * n2 * d1 * d2 * d3 * d3
 
     def path_defect_at_most(self, a: Point, b: Point, c: Point, cn: int, cd: int) -> bool:
-        left = (
-            Fraction(cd - cn, cd) * Rad.sqrt(Fraction(*self.length(a, b))),
-            Rad.sqrt(Fraction(*self.length(b, c))),
-        )
-        right = (Rad.sqrt(Fraction(*self.length(a, c))),)
-        return cmp_radical_sums(left, right) <= 0
+        # (s/cd) sqrt(n1/d1) + sqrt(n2/d2) <= sqrt(n3/d3) with s = cd - cn, times
+        # cd * sqrt(d1*d2*d3): sqrt(P) + sqrt(Q) <= sqrt(R), squared out as above
+        n1, d1 = self.length(a, b)
+        n2, d2 = self.length(b, c)
+        n3, d3 = self.length(a, c)
+        s = cd - cn
+        p, q, r = s * s * n1 * d2 * d3, cd * cd * n2 * d1 * d3, cd * cd * n3 * d1 * d2
+        lead = r - p - q
+        return lead >= 0 and lead * lead >= 4 * p * q
 
 
 _EXACT_KERNELS = {"l1": _ExactL1Kernel(), "linf": _ExactLinfKernel(), "l2": _ExactL2Kernel()}

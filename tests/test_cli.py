@@ -253,6 +253,19 @@ def test_float_lp_suite_passes_at_tangency(tmp_path):
     assert all(rep["violations"] == [] for rep in json.loads(out.read_text()))
 
 
+@pytest.mark.parametrize("norm", ["lp:3", "lp:3/2"])
+@pytest.mark.parametrize("relation", ["PSI:3:2", "PSI:5:3", "DELTA:4", "DELTA:6"])
+def test_float_lp_chains_construct_off_the_grid(tmp_path, relation, norm):
+    # PSI and DELTA chains meet tangent spheres on the line of centres, at
+    # angles the solver's grid does not hold
+    out = tmp_path / "rep.json"
+    argv = ["verify-layer", "--relation", relation, "--norm", norm, "--backend", "float",
+            "--seed", "3", "--samples", "100", "--output", str(out)]
+    assert main(argv) == 0
+    payload = json.loads(out.read_text())
+    assert payload["samples"] == payload["agreements"] == 100
+
+
 # SHA-256 of the seeded axiom reports: the whole suite from
 # `check-axioms --axiom all --samples 300 --constructions 150 --seed 5`, and
 # each axiom alone from

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -154,6 +155,9 @@ class TestPredicates:
         a, b, c = pt(0, 0), pt(1, 0), pt(3, 0)
         assert s2.path_defect_at_most(a, b, c, F(1, 32))
         assert not s2.path_defect_at_most(a, pt(1, 2), c, F(1, 32))
+        # 5 + 5 <= 6 + q*5 exactly when q >= 4/5: the boundary is decided exactly
+        assert s2.path_defect_at_most(pt(0, 0), pt(3, 4), pt(6, 0), F(4, 5))
+        assert not s2.path_defect_at_most(pt(0, 0), pt(3, 4), pt(6, 0), F(3, 5))
 
 
 class TestSphereIntersection:
@@ -223,6 +227,23 @@ class TestSphereIntersection:
         space = Space(lp(p), "float", 1e-9)
         e = sphere_intersection_point(space, Point(*c), radius_c, Point(*d), radius_d)
         assert (e.x, e.y) == pytest.approx(want)
+
+    @pytest.mark.parametrize("p", ["3", "3/2"])
+    @pytest.mark.parametrize(
+        "radius_c,radius_d,gap,side",
+        [(1.0, 0.5, 1.5, 1.0), (2.0, 0.75, 1.25, 1.0), (0.75, 2.0, 1.25, -1.0)],
+        ids=["external", "internal-R>r", "internal-R<r"],
+    )
+    def test_lp_tangency_off_the_grid(self, p, radius_c, radius_d, gap, side):
+        # tangent spheres of a strictly convex plane meet on the line of
+        # centres, here at an angle between two grid angles
+        space = Space(lp(p), "float", 1e-9)
+        c = Point(0.1, -0.2)
+        unit = space.length_value(Point(0.0, 0.0), Point(math.cos(0.3), math.sin(0.3)))
+        ux, uy = math.cos(0.3) / unit, math.sin(0.3) / unit
+        d = Point(c.x + gap * ux, c.y + gap * uy)
+        e = sphere_intersection_point(space, c, radius_c, d, radius_d)
+        assert (e.x, e.y) == pytest.approx((c.x + side * radius_c * ux, c.y + side * radius_c * uy))
 
     def test_equal_centers_need_equal_radii(self):
         space = Space(L1, "exact")
