@@ -13,12 +13,12 @@ comparison kernels (:mod:`equitower.kernel`, one per norm and backend) all
 work on those integers.  ``Fraction``s appear only at the edges:
 ``Point(x, y)`` from rationals, ``.x``/``.y`` reads, and records.
 
-Where two spheres meet is decided in one place.  For l1 and linf, on both
-backends, :func:`sphere_meets` brings centres and radii over one integer
-denominator and reads the meeting points off a 4x4 grid of pinned coordinates;
-:func:`sphere_intersection_point` returns one of them in a fixed edge
-order.  Float l2 has a closed formula and float lp a numeric solve; exact
-l2 constructions are refused, since their points are irrational in general.
+Each norm has one function that returns every point where two spheres
+meet: :func:`sphere_meets` picks it, :func:`sphere_intersection_point` checks
+the inputs and takes the first point.  l1 and linf read the points off a 4x4
+grid of pinned integer coordinates, float l2 has a closed formula and its
+mirror image, and float lp bisects from a bracket on the line of centres;
+exact l2 is refused, since its points are irrational in general.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Union
 
 from .kernel import ExactKernel, FloatKernel, kernel_for, sq_length
-from .scalars import Rad, format_exact, parse_exact
+from .scalars import Rad, float_le, format_exact, parse_exact
 
 Scalar = Union[Fraction, float]
 
@@ -458,18 +458,35 @@ def _box_meets(space: Space, c: Point, radius_c, d: Point, radius_d) -> list[tup
     return out
 
 
-def _l2_float_intersection(c: Point, radius_c: float, d: Point, radius_d: float) -> Point:
-    g = math.hypot(d.x - c.x, d.y - c.y)
-    if g == 0.0:
-        return Point(c.x + radius_c, c.y)
-    ux, uy = (d.x - c.x) / g, (d.y - c.y) / g
+def _l2_float_meets(c: Point, radius_c: float, d: Point, radius_d: float) -> list[Point]:
+    """The circle-circle point left of line cd and its mirror image; the one
+    point (c.x + R, c.y) when |cd|^2 is 0, as for coincident centres."""
+    vx, vy = d.x - c.x, d.y - c.y
+    g_sq = vx * vx + vy * vy  # 0 also when it underflows, where the mirror cannot divide
+    if g_sq == 0.0:
+        return [Point(c.x + radius_c, c.y)]
+    g = math.hypot(vx, vy)
+    ux, uy = vx / g, vy / g
     along = (g * g + radius_c * radius_c - radius_d * radius_d) / (2.0 * g)
     h_sq = radius_c * radius_c - along * along
     h = math.sqrt(h_sq) if h_sq > 0.0 else 0.0
-    return Point(c.x + along * ux - h * uy, c.y + along * uy + h * ux)
+    e = Point(c.x + along * ux - h * uy, c.y + along * uy + h * ux)
+    t = ((e.x - c.x) * vx + (e.y - c.y) * vy) / g_sq
+    foot = Point(c.x + t * vx, c.y + t * vy)
+    return [e, Point(2.0 * foot.x - e.x, 2.0 * foot.y - e.y)]
 
 
-def _lp_float_intersection(space: Space, c: Point, radius_c: float, d: Point, radius_d: float) -> Point:
+def _lp_float_meets(space: Space, c: Point, radius_c: float, d: Point, radius_d: float) -> list[Point]:
+    """Meeting points of two lp spheres from the annulus bracket.
+
+    With u the unit vector from c towards d, d - (c +- R*u) = (|cd| -+ R)*u,
+    so the residual |d - e| - r is ||cd| - R| - r <= 0 at e = c + R*u and
+    |cd| + R - r >= 0 at e = c - R*u.  If the first is >= 0 or the second
+    <= 0, up to the tolerance, that end is the answer: tangent spheres of a
+    strictly convex plane meet only on the line of centres.  Otherwise each
+    half of c's sphere, left then right of line cd, is bisected until the
+    midpoint angle equals an end.
+    """
     p = float(space.p_value())
 
     def on_ball(theta: float) -> Point:
@@ -477,43 +494,38 @@ def _lp_float_intersection(space: Space, c: Point, radius_c: float, d: Point, ra
         scale = radius_c / ((abs(dx) ** p + abs(dy) ** p) ** (1.0 / p))
         return Point(c.x + scale * dx, c.y + scale * dy)
 
-    if radius_c == 0.0:
-        return c
+    toward = math.atan2(d.y - c.y, d.x - c.x)
+    near, far = on_ball(toward), on_ball(toward + math.pi)
+    if float_le(radius_d, space.length_value(d, near), space.tolerance):
+        return [near]
+    if float_le(space.length_value(d, far), radius_d, space.tolerance):
+        return [far]
+    meets = []
+    for lo, hi in ((toward, toward + math.pi), (toward, toward - math.pi)):
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if space.length_value(d, on_ball(mid)) < radius_d else (lo, mid)
+        meets.append(on_ball(mid))
+    return meets
 
-    def residual(theta: float) -> float:
-        return space.length_value(d, on_ball(theta)) - radius_d
 
-    grid = 512
-    thetas = [2.0 * math.pi * i / grid for i in range(grid + 1)]
-    values = [residual(t) for t in thetas]
-    best = min(range(len(values)), key=lambda i: abs(values[i]))
-    bracket = None
-    for i in range(grid):
-        if values[i] == 0.0:  # a bracket opened here would bisect away from it
-            return on_ball(thetas[i])
-        if values[i] * values[i + 1] < 0.0:
-            bracket = (thetas[i], thetas[i + 1], values[i])
-            break
-    if bracket is None:
-        # tangency: in a strictly convex plane tangent spheres meet only on
-        # the line of centres, so try e = c +- (R/|cd|)(d - c) after the grid
-        candidates = [on_ball(thetas[best])]
-        gap = space.length_value(c, d)
-        if gap > 0.0:
-            ux, uy = radius_c * (d.x - c.x) / gap, radius_c * (d.y - c.y) / gap
-            candidates += [Point(c.x + ux, c.y + uy), Point(c.x - ux, c.y - uy)]
-        return next((e for e in candidates if space.length_is(d, e, radius_d)), candidates[0])
-    lo, hi, flo = bracket
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = residual(mid)
-        if fmid == 0.0:
-            return on_ball(mid)
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return on_ball(0.5 * (lo + hi))
+def sphere_meets(space: Space, c: Point, radius_c, d: Point, radius_d) -> list[Point]:
+    """Meeting points of S(c, radius_c) and S(d, radius_d); the caller has
+    checked that the spheres meet.
+
+    l1/linf: every point of the integer pin grid on both spheres, in pin
+    order (on exact planes, none when the spheres do not meet).  Float l2
+    and lp: a point left of line cd, then one right of it; one point alone
+    where lp spheres meet on the line of centres or l2 centres coincide.
+    Exact l2 is refused.
+    """
+    kind = space.norm.kind
+    if kind in ("l1", "linf"):
+        return [e for _, e in _box_meets(space, c, radius_c, d, radius_d)]
+    if space.backend == EXACT:
+        raise ExactBackendRefusedError("exact l2 sphere intersection is irrational in general; use the float backend")
+    if kind == "l2":
+        return _l2_float_meets(c, radius_c, d, radius_d)
+    return _lp_float_meets(space, c, radius_c, d, radius_d)
 
 
 def sphere_intersection_point(space: Space, c: Point, radius_c, d: Point, radius_d) -> Point:
@@ -522,10 +534,9 @@ def sphere_intersection_point(space: Space, c: Point, radius_c, d: Point, radius
     Precondition (checked): ``|R - r| <= d(c,d) <= R + r``, which in a
     two-dimensional normed plane is exactly when such a point exists.
     l1/linf, on both backends: the first meeting point of the integer pin
-    grid (see :func:`sphere_meets`) by edge of c's ball, then edge of d's
-    ball, then position along c's edge.
-    Float l2: the circle-circle formula; float lp: a numeric solve.  Exact
-    l2 is refused, since the result is irrational in general.
+    grid by edge of c's ball, then edge of d's ball, then position along
+    c's edge.  Other norms: the first point of :func:`sphere_meets`.  The
+    point is checked against both lengths.
     """
     space.check_point(c)
     space.check_point(d)
@@ -535,45 +546,13 @@ def sphere_intersection_point(space: Space, c: Point, radius_c, d: Point, radius
         raise NoIntersectionError(
             f"spheres ({c}, r={rc}) and ({d}, r={rd}) do not meet in {space.label()}"
         )
-    kind = space.norm.kind
-    if kind in ("l1", "linf"):
+    if space.norm.kind in ("l1", "linf"):
         e = min(_box_meets(space, c, rc, d, rd))[1]
-    elif space.backend == EXACT:
-        raise ExactBackendRefusedError(
-            "exact l2 sphere intersection is irrational in general; use the float backend"
-        )
-    elif kind == "l2":
-        e = _l2_float_intersection(c, rc, d, rd)
     else:
-        e = _lp_float_intersection(space, c, rc, d, rd)
+        e = sphere_meets(space, c, rc, d, rd)[0]
     if not (space.length_is(c, e, rc) and space.length_is(d, e, rd)):
         raise SolverError(f"constructed intersection fails its distance constraints in {space.label()}")
     return e
-
-
-def sphere_meets(space: Space, c: Point, radius_c, d: Point, radius_d) -> list[Point]:
-    """Meeting points of the spheres S(c, radius_c) and S(d, radius_d).
-
-    The caller has checked that the spheres meet.  l1/linf: every point of
-    the integer pin grid on both spheres, in pin order (on exact planes,
-    none when the spheres do not meet).  Float l2: the circle-circle point
-    and its mirror image across the line cd.  lp: the one point of
-    :func:`sphere_intersection_point`, which also refuses exact l2.
-    """
-    kind = space.norm.kind
-    if kind in ("l1", "linf"):
-        return [e for _, e in _box_meets(space, c, radius_c, d, radius_d)]
-    if kind == "l2" and space.backend != EXACT:
-        e = _l2_float_intersection(c, radius_c, d, radius_d)
-        foot_scale = 2.0
-        ux, uy = d.x - c.x, d.y - c.y
-        # mirror across the center line for the second branch
-        g_sq = ux * ux + uy * uy
-        t = ((e.x - c.x) * ux + (e.y - c.y) * uy) / g_sq
-        foot = Point(c.x + t * ux, c.y + t * uy)
-        mirror = Point(foot_scale * foot.x - e.x, foot_scale * foot.y - e.y)
-        return [e, mirror]
-    return [sphere_intersection_point(space, c, radius_c, d, radius_d)]
 
 
 # ----------------------------------------------------------------------

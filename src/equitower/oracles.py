@@ -157,9 +157,8 @@ def oracle_psi(space: Space, n: int, k: int, a: Point, b: Point, c: Point, d: Po
         raise OracleError("PSI needs n >= 1 and k >= 1")
     if space.points_eq(a, b) or space.points_eq(c, d):
         return False
-    lo = Fraction(n - 1, 2**k)
-    hi = Fraction(n + 1, 2**k)
-    return space.le_dist_scaled(c, d, hi, a, b) and space.ge_dist_scaled(c, d, lo, a, b)
+    kernel = space.kernel
+    return kernel.le_dist_scaled(c, d, n + 1, 2**k, a, b) and kernel.ge_dist_scaled(c, d, n - 1, 2**k, a, b)
 
 
 def oracle_gamma(space: Space, a: Point, b: Point, c: Point) -> bool:

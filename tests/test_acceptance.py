@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from equitower import (
     ImplMap,
     L1,
@@ -19,6 +21,7 @@ from equitower import (
     TruncationParams,
     Universe,
     eval_formula,
+    lp,
 )
 from equitower.closure import closure_for_relation
 from equitower.formulas.evaluator import schema_query
@@ -252,6 +255,17 @@ def test_acceptance_5_layer_verification():
         for family, total in family_counts.items():
             assert total >= 1000, (family, total)
     _report(5, "layer verification, zero counterexamples")
+
+
+@pytest.mark.parametrize("p", ["3", "3/2"])
+def test_acceptance_5_layer_verification_on_float_lp(p):
+    # strictly convex non-Euclidean planes reach the tower only through
+    # float lp sphere meets; the same plan must agree on every sample
+    for rel in LAYER_PLAN:
+        space = verification_space(rel, lp(p))
+        report = verify_layer(space, rel, TR, _family_samples(rel), seed=20240505)
+        assert report.passed, (p, rel.label(), report.counterexamples[0])
+    _report(5, f"layer verification on float lp({p}), zero counterexamples")
 
 
 def test_acceptance_6_axiom_suite():

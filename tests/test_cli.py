@@ -254,13 +254,28 @@ def test_float_lp_suite_passes_at_tangency(tmp_path):
 
 
 @pytest.mark.parametrize("norm", ["lp:3", "lp:3/2"])
-@pytest.mark.parametrize("relation", ["PSI:3:2", "PSI:5:3", "DELTA:4", "DELTA:6"])
+@pytest.mark.parametrize(
+    "relation",
+    ["PSI:3:2", "PSI:5:3", "DELTA:4", "DELTA:6", "EQUIV2", "LE", "PHI:0", "ALPHA:3", "BETA:3",
+     "GAMMA", "B", "NEQ", "COLLINEAR", "DELTA:2", "PSI:2:1"],
+)
 def test_float_lp_chains_construct_off_the_grid(tmp_path, relation, norm):
-    # PSI and DELTA chains meet tangent spheres on the line of centres, at
-    # angles the solver's grid does not hold
+    # witness rounds and chains meet lp spheres at tangency and off the
+    # line of centres; every construction must meet both lengths
     out = tmp_path / "rep.json"
     argv = ["verify-layer", "--relation", relation, "--norm", norm, "--backend", "float",
             "--seed", "3", "--samples", "100", "--output", str(out)]
+    assert main(argv) == 0
+    payload = json.loads(out.read_text())
+    assert payload["samples"] == payload["agreements"] == 100
+
+
+def test_float_lp_equiv2_meets_near_tangent_spheres(tmp_path):
+    # sample 96 asks for two spheres of radius 4.664056349 whose centres lie
+    # 2.6e-7 short of tangency, so they cross just off the line of centres
+    out = tmp_path / "rep.json"
+    argv = ["verify-layer", "--relation", "EQUIV2", "--norm", "lp:3/2", "--backend", "float",
+            "--seed", "5", "--samples", "100", "--output", str(out)]
     assert main(argv) == 0
     payload = json.loads(out.read_text())
     assert payload["samples"] == payload["agreements"] == 100

@@ -245,6 +245,31 @@ class TestSphereIntersection:
         e = sphere_intersection_point(space, c, radius_c, d, radius_d)
         assert (e.x, e.y) == pytest.approx((c.x + side * radius_c * ux, c.y + side * radius_c * uy))
 
+    @pytest.mark.parametrize("p", ["3", "3/2", "11/10"])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8])
+    @pytest.mark.parametrize("angle", [0.3, 1.1, 2.5])
+    def test_lp_near_tangency_meets_on_both_sides(self, p, eps, angle):
+        # spheres 1.5 * eps short of external tangency cross just off the line
+        # of centres, once on each side of it
+        space = Space(lp(p), "float", 1e-9)
+        c = Point(0.1, -0.2)
+        unit = space.length_value(Point(0.0, 0.0), Point(math.cos(angle), math.sin(angle)))
+        gap = 1.5 * (1.0 - eps)
+        d = Point(c.x + gap * math.cos(angle) / unit, c.y + gap * math.sin(angle) / unit)
+        e = sphere_intersection_point(space, c, 1.0, d, 0.5)
+        meets = sphere_meets(space, c, 1.0, d, 0.5)
+        assert len(meets) == 2 and meets[0] == e
+        for m in meets:
+            assert space.length_is(c, m, 1.0) and space.length_is(d, m, 0.5)
+        left, right = ((d.x - c.x) * (m.y - c.y) - (d.y - c.y) * (m.x - c.x) for m in meets)
+        assert left > 0.0 > right
+
+    def test_float_l2_coincident_centres_meet_once(self):
+        space = Space(L2, "float", 1e-9)
+        assert sphere_meets(space, Point(1.0, 2.0), 3.0, Point(1.0, 2.0), 3.0) == [Point(4.0, 2.0)]
+        # |cd|^2 underflows to 0 although |cd| does not
+        assert sphere_meets(space, Point(0.0, 0.0), 1e-170, Point(1e-170, 0.0), 1e-170) == [Point(1e-170, 0.0)]
+
     def test_equal_centers_need_equal_radii(self):
         space = Space(L1, "exact")
         e = sphere_intersection_point(space, pt(1, 1), F(3), pt(1, 1), F(3))
