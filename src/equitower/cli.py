@@ -105,6 +105,14 @@ def _load_points(space: Space, path: str):
     return [point_from_record(space, rec) for rec in records]
 
 
+def _emit(args, payload) -> None:
+    """Write the report to ``--output``, or print it."""
+    if args.output:
+        write_report(args.output, payload)
+    else:
+        print(stable_json_dumps(payload))
+
+
 def _impl_from_args(args, top_name: str | None) -> ImplMap:
     overrides = {}
     for item in args.impl or ():
@@ -170,9 +178,7 @@ def _explain_top_quantifier(formula, space, universe, valuation, trunc, impl, ve
     for assignment in product(universe.points, repeat=len(formula.vars)):
         bound = {**valuation, **dict(zip(formula.vars, assignment))}
         if eval_formula(formula.body, space, universe, bound, trunc, impl) is goal:
-            pretty = ", ".join(
-                f"{n} := ({p.x}, {p.y})" for n, p in zip(formula.vars, assignment)
-            )
+            pretty = ", ".join(f"{n} := ({p.x}, {p.y})" for n, p in zip(formula.vars, assignment))
             print(f"  {label}: {pretty}")
             return
 
@@ -190,10 +196,7 @@ def cmd_verify_layer(args) -> int:
     rel = RelationId.parse(args.relation)
     report = verify_layer(space, rel, trunc, args.samples, args.seed)
     payload = report.to_dict()
-    if args.output:
-        write_report(args.output, payload)
-    else:
-        print(stable_json_dumps(payload))
+    _emit(args, payload)
     return 0 if report.passed else 1
 
 
@@ -206,10 +209,7 @@ def cmd_check_axioms(args) -> int:
     else:
         raise GeometryError(f"unknown axiom {args.axiom!r}; use one of {sorted(CHECKERS)} or all")
     payload = [r.to_dict() for r in reports]
-    if args.output:
-        write_report(args.output, payload)
-    else:
-        print(stable_json_dumps(payload))
+    _emit(args, payload)
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         print(f"axiom {r.axiom}: {status} ({r.samples} samples, {len(r.violations)} violations)", file=sys.stderr)
@@ -230,16 +230,11 @@ def cmd_vogt(args) -> int:
     if args.maps:
         configs = read_json(args.maps)
         maps = [PlaneMap.from_config(c) for c in configs]
-        expectations = {
-            PlaneMap.from_config(c).label: c["expect"] for c in configs if "expect" in c
-        }
+        expectations = {PlaneMap.from_config(c).label: c["expect"] for c in configs if "expect" in c}
     else:
         maps, expectations = _default_map_suite(space)
     summary = run_experiment(space, maps, args.quadruples, args.triples, args.seed, expectations)
-    if args.output:
-        write_report(args.output, summary)
-    else:
-        print(stable_json_dumps(summary))
+    _emit(args, summary)
     return 0 if summary["expectation_mismatches"] == 0 else 1
 
 
@@ -256,10 +251,7 @@ def cmd_closure(args) -> int:
         print(f"incomplete closure: {exc}", file=sys.stderr)
         return 1
     payload = universe.to_records()
-    if args.output:
-        write_report(args.output, payload)
-    else:
-        print(stable_json_dumps(payload))
+    _emit(args, payload)
     return 0
 
 

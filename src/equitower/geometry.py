@@ -247,7 +247,10 @@ class Space:
     def point(self, x, y) -> Point:
         if self.backend == EXACT:
             return Point(parse_exact(x), parse_exact(y))
-        return Point(float(x), float(y))
+        p = Point(float(x), float(y))
+        if not (math.isfinite(p.x) and math.isfinite(p.y)):  # float_eq holds whenever one side is infinite
+            raise GeometryError(f"float coordinates must be finite, got ({p.x}, {p.y})")
+        return p
 
     def check_point(self, p: Point) -> Point:
         if self.backend == EXACT:
@@ -255,9 +258,7 @@ class Space:
         else:  # floats take integer coordinates too
             ok = type(p) is Point or (type(p) is ExactPoint and p.W == 1)
         if not ok:
-            raise BackendMismatchError(
-                f"point {p!r} does not match backend {self.backend!r}"
-            )
+            raise BackendMismatchError(f"point {p!r} does not match backend {self.backend!r}")
         return p
 
     def points_eq(self, a: Point, b: Point) -> bool:

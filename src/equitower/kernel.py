@@ -224,16 +224,17 @@ class _ExactL2Kernel(ExactKernel):
 _EXACT_KERNELS = {"l1": _ExactL1Kernel(), "linf": _ExactLinfKernel(), "l2": _ExactL2Kernel()}
 
 
-# the length of a vector (x, y) of doubles
-_FLOAT_LENGTHS = {
-    "l1": lambda x, y: abs(x) + abs(y),
-    "linf": lambda x, y: max(abs(x), abs(y)),
-    "l2": math.hypot,
-}
+# the length of a vector (x, y) in a box norm, of integers or of doubles
+BOX_LENGTHS = {"l1": lambda x, y: abs(x) + abs(y), "linf": lambda x, y: max(abs(x), abs(y))}
+_FLOAT_LENGTHS = {**BOX_LENGTHS, "l2": math.hypot}
 
 
 def _lp_length(p: float, x: float, y: float) -> float:
-    return (abs(x) ** p + abs(y) ** p) ** (1.0 / p)
+    try:
+        return (abs(x) ** p + abs(y) ** p) ** (1.0 / p)
+    except OverflowError:  # a power past the double range: scale by the larger coordinate first
+        m = max(abs(x), abs(y))
+        return m * ((abs(x) / m) ** p + (abs(y) / m) ** p) ** (1.0 / p)
 
 
 class FloatKernel:

@@ -9,7 +9,10 @@ Arbitrary maps are classified by sampling: quadruples biased to contain
 exactly-equal segment pairs check both implication directions, segment
 triples check betweenness transport.  Every entry point draws its samples
 first and then classifies each map in ``_classify``, the one transport
-path.  Samples are drawn as rows of coordinates.  Exact rows are integers
+path.  Samples are drawn as rows of coordinates, each point by one
+``sampling.point_draws`` call and each generator and betweenness ratio by
+the same rejection loops written out, so the draws are those of
+``rand_point``, ``choice`` and ``rand_unit_fraction``.  Exact rows are integers
 over one positive denominator (as in Yap, "Towards exact geometric
 computation", CGTA 1997), and an affine map is decided on their integer
 difference vectors, where translation drops out.  Float rows are doubles;
@@ -31,9 +34,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .geometry import EXACT, ExactPoint, Point, Space, point_to_record
-from .kernel import FloatKernel, int_between as _int_between
+from .kernel import BOX_LENGTHS, FloatKernel, int_between as _int_between
 from .oracles import oracle_B
-from .sampling import Matrix, choice, generator_rows, isometry_generators, randint
+from .sampling import Matrix, generator_rows, isometry_generators, point_draws
 from .scalars import float_eq, format_exact
 
 
@@ -194,37 +197,24 @@ class PreservationReport:
         return "violating"
 
     def to_dict(self) -> dict:
-        return {
-            "map": self.map_label,
-            "norm": self.norm,
-            "backend": self.backend,
-            "quadruples": self.quadruples,
-            "triples": self.triples,
-            "forward_violations": self.forward_violations,
-            "backward_violations": self.backward_violations,
-            "b_violations": self.b_violations,
-            "classification": self.classification,
-            "b_preserving_on_samples": self.b_violations == 0,
-            "first_witnesses": self.first_witnesses,
-            "seed": self.seed,
-        }
+        fields = dict(vars(self), classification=self.classification, b_preserving_on_samples=self.b_violations == 0)
+        fields["map"] = fields.pop("map_label")
+        return fields
 
 
 _W = math.lcm(*range(1, 9))  # every denominator that rand_point draws divides it
 
 
-def _int_point(rng: random.Random) -> tuple[int, int]:
-    """``rand_point``'s exact draw, as integers over ``_W``."""
-    x = randint(rng, -24, 24) * _W // randint(rng, 1, 8)
-    return x, randint(rng, -24, 24) * _W // randint(rng, 1, 8)
+def _coordinates(rng: random.Random, exact: bool) -> tuple:
+    """``rand_point``'s draw as two coordinates: integers over ``_W``, or doubles."""
+    xn, xd, yn, yd = point_draws(rng)
+    if exact:
+        return xn * _W // xd, yn * _W // yd
+    return xn / xd, yn / yd
 
 
 # the length (l1, linf) or squared length (l2) of an integer vector
-_INT_LENGTH = {
-    "l1": lambda x, y: abs(x) + abs(y),
-    "linf": lambda x, y: max(abs(x), abs(y)),
-    "l2": lambda x, y: x * x + y * y,
-}
+_INT_LENGTH = {**BOX_LENGTHS, "l2": lambda x, y: x * x + y * y}
 
 
 def _integer_matrix(m: Matrix) -> tuple[int, int, int, int, int]:
@@ -252,12 +242,6 @@ def _points(space: Space, sample: tuple) -> tuple[Point, ...]:
     return tuple(ExactPoint(x, y, w) for x, y in zip(coords[::2], coords[1::2]))
 
 
-def _float_point(rng: random.Random) -> tuple[float, float]:
-    """``rand_point``'s float draw, as two doubles."""
-    x = randint(rng, -24, 24) / randint(rng, 1, 8)
-    return x, randint(rng, -24, 24) / randint(rng, 1, 8)
-
-
 def _float_eq_dist(kernel: FloatKernel, row: tuple) -> bool:
     """d(a,b) = d(c,d) on a row (ax, ay, bx, by, cx, cy, dx, dy), as ``kernel.eq_dist``."""
     ax, ay, bx, by, cx, cy, dx, dy = row
@@ -275,19 +259,23 @@ def _draw_quadruples(space: Space, rng: random.Random, n: int) -> _Samples:
     ones essentially never are; ``pre`` is d(a,b) = d(c,d), the vectors are b-a and d-c."""
     drawn = _Samples([], [], [])
     exact = space.backend == EXACT
-    point = _int_point if exact else _float_point
     generators = generator_rows(space)
     length = _INT_LENGTH.get(space.norm.kind)
+    bits, g = rng.getrandbits, len(generators)
+    kg = g.bit_length()
     for _ in range(n):
-        (ax, ay), (cx, cy), (bx, by) = point(rng), point(rng), point(rng)
+        (ax, ay), (cx, cy), (bx, by) = _coordinates(rng, exact), _coordinates(rng, exact), _coordinates(rng, exact)
         ux, uy = bx - ax, by - ay
         if rng.random() < 0.5:  # d - c is b - a under a generator m/k
-            m11, m12, m21, m22, k = choice(rng, generators)
+            while (i := bits(kg)) >= g:  # choice(rng, generators), written out
+                pass
+            m11, m12, m21, m22, k = generators[i]
             vx, vy = m11 * ux + m12 * uy, m21 * ux + m22 * uy
-            ax, ay, bx, by, cx, cy, ux, uy = (k * v for v in (ax, ay, bx, by, cx, cy, ux, uy))
+            if k != 1:  # only exact l2 rotations have k > 1
+                ax, ay, bx, by, cx, cy, ux, uy = (k * v for v in (ax, ay, bx, by, cx, cy, ux, uy))
             dx, dy, w = cx + vx, cy + vy, k * _W
         else:
-            (dx, dy), w = point(rng), _W
+            (dx, dy), w = _coordinates(rng, exact), _W
             vx, vy = dx - cx, dy - cy
         if exact:
             drawn.samples.append((ax, ay, bx, by, cx, cy, dx, dy, w))
@@ -304,11 +292,19 @@ def _draw_triples(space: Space, rng: random.Random, n: int) -> _Samples:
     B(a, b, c), the vectors are b-a and c-a."""
     drawn = _Samples([], [], [])
     exact = space.backend == EXACT
-    point = _int_point if exact else _float_point
+    bits = rng.getrandbits
     for _ in range(n):
-        (ax, ay), (cx, cy) = point(rng), point(rng)
-        den = randint(rng, 2, 16)  # t is drawn as choice((0, 1, rand_unit_fraction(rng)))
-        num, den = choice(rng, ((0, 1), (1, 1), (randint(rng, 1, den - 1), den)))
+        (ax, ay), (cx, cy) = _coordinates(rng, exact), _coordinates(rng, exact)
+        # t is choice((0, 1, rand_unit_fraction(rng))), written out: r + 2 is
+        # randint(rng, 2, 16), then s + 1 is randint(rng, 1, r + 1), then the index
+        while (r := bits(4)) >= 15:
+            pass
+        ks = (r + 1).bit_length()
+        while (s := bits(ks)) > r:
+            pass
+        while (i := bits(2)) == 3:
+            pass
+        num, den = ((0, 1), (1, 1), (s + 1, r + 2))[i]
         if exact:  # over den * _W, b - a is num * (c - a) and c - a is den * (c - a)
             px, py, qx, qy = num * (cx - ax), num * (cy - ay), den * (cx - ax), den * (cy - ay)
             drawn.samples.append((den * ax, den * ay, den * ax + px, den * ay + py, den * cx, den * cy, den * _W))

@@ -15,11 +15,13 @@ of the supported norms:
   a common height gives triples of points whose pairwise Euclidean
   distances are all rational, so ray constructions scale rationally.
 
-Exact points are drawn and transformed as integers: ``rand_point`` builds
-(X, Y, W) from its four integer draws, and ``equal_length_mate`` and
-``scale_vector`` multiply a point's integers.  All sampling is driven by a
-caller-supplied ``random.Random`` through ``randint`` and ``choice``, which
-keep its own ``randint``/``choice`` stream.
+Every random point is one ``point_draws`` call: the four integers that
+four ``randint`` calls would draw, from the same bits in the same order.
+``rand_point`` builds (X, Y, W) from them, map fuzzing builds its rows
+from them, and ``equal_length_mate`` and ``scale_vector`` multiply a
+point's integers.  All sampling is driven by a caller-supplied
+``random.Random`` through ``randint``, ``choice`` and ``point_draws``,
+which keep its own ``randint``/``choice`` stream, draw for draw.
 """
 
 from __future__ import annotations
@@ -44,18 +46,9 @@ def rational_rotation(leg_a: int, leg_b: int) -> Row:
     return (cos, -sin, sin, cos, leg_a * leg_a + leg_b * leg_b)
 
 
+# the identity and the swap of coordinates, under each sign of each coordinate
 SIGNED_PERMUTATIONS: tuple[Row, ...] = tuple(
-    (a, b, c, d, 1)
-    for a, b, c, d in (
-        (1, 0, 0, 1),
-        (-1, 0, 0, 1),
-        (1, 0, 0, -1),
-        (-1, 0, 0, -1),
-        (0, 1, 1, 0),
-        (0, -1, 1, 0),
-        (0, 1, -1, 0),
-        (0, -1, -1, 0),
-    )
+    (0, sx, sy, 0, 1) if swap else (sx, 0, 0, sy, 1) for swap in (False, True) for sy in (1, -1) for sx in (1, -1)
 )
 
 L2_GENERATORS: tuple[Row, ...] = (
@@ -90,6 +83,23 @@ def choice(rng: random.Random, seq):
     return seq[randint(rng, 0, len(seq) - 1)]
 
 
+def point_draws(rng: random.Random, span: int = 24, max_den: int = 8) -> tuple[int, int, int, int]:
+    """(xn, xd, yn, yd) as ``randint(rng, -span, span)``, ``randint(rng, 1, max_den)``,
+    ``randint(rng, -span, span)``, ``randint(rng, 1, max_den)`` draw them, draw for
+    draw, with the four rejection loops written out: a point is one call."""
+    bits, n = rng.getrandbits, 2 * span + 1
+    k, j = n.bit_length(), max_den.bit_length()
+    while (xn := bits(k)) >= n:
+        pass
+    while (xd := bits(j)) >= max_den:
+        pass
+    while (yn := bits(k)) >= n:
+        pass
+    while (yd := bits(j)) >= max_den:
+        pass
+    return xn - span, xd + 1, yn - span, yd + 1
+
+
 def generator_rows(space: Space) -> tuple[Row, ...]:
     """The isometry generators of the space's norm as integer rows; on the
     float backend, as doubles with k = 1."""
@@ -117,10 +127,9 @@ def rand_unit_fraction(rng: random.Random, max_den: int = 16) -> Fraction:
 
 def rand_point(space: Space, rng: random.Random, span: int = 24, max_den: int = 8) -> Point:
     """A point with coordinates drawn as by ``rand_fraction``: x = xn/xd and
-    y = yn/yd, built exactly as (xn*yd, yn*xd, xd*yd).  On floats the int
-    division rounds correctly, so it equals ``float(rand_fraction(...))``."""
-    xn, xd = randint(rng, -span, span), randint(rng, 1, max_den)
-    yn, yd = randint(rng, -span, span), randint(rng, 1, max_den)
+    y = yn/yd from ``point_draws``, built exactly as (xn*yd, yn*xd, xd*yd).  On
+    floats the int division rounds correctly, so it equals ``float(rand_fraction(...))``."""
+    xn, xd, yn, yd = point_draws(rng, span, max_den)
     if space.backend == "float":
         return Point(xn / xd, yn / yd)
     return ExactPoint(xn * yd, yn * xd, xd * yd)

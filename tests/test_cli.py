@@ -253,6 +253,31 @@ def test_float_lp_suite_passes_at_tangency(tmp_path):
     assert all(rep["violations"] == [] for rep in json.loads(out.read_text()))
 
 
+# SHA-256 of float lp reports, which hold the stream of the verify samplers:
+# `check-axioms --seed 5` at default flags, and
+# `verify-layer --relation REL --seed 3 --samples 100` for three layers.
+GOLDEN_FLOAT_LP_AXIOM_SHA256 = {
+    "lp:3": "71bf43d2b84cbccc5c475a7c7e59c96f5640b971a23ffc8b0ec8eefe5bc6dbbc",
+    "lp:3/2": "51ca33eb44b0882c1872aa697eff41c8b98da431b639364a076cd0043d3dbfeb",
+}
+GOLDEN_FLOAT_LP_LAYER_SHA256 = {
+    ("EQUIV2", "lp:3"): "752a9b04cad230add6b392f78e37e994692138df5d37f15a9243283efee8308f",
+    ("PSI:3:2", "lp:3"): "a651eb6c333ac31db242f88a0d78bd534e3a9d4cd864a2b309004f94f349c1c6",
+    ("DELTA:4", "lp:3"): "de9e8a09a7fb129c1e51eb6242d9876100977a8a943796d79193dc927e60ff68",
+    ("EQUIV2", "lp:3/2"): "eb8d1ec42b43772d97685400756df9958b37b51ccff0368a32c6d2007adab706",
+    ("PSI:3:2", "lp:3/2"): "775bf0972fd4a3c8bd1c2cd41050b43b17fb83f7445ae376543f6a64bf1bad4a",
+    ("DELTA:4", "lp:3/2"): "b20f3e4a4fe9c1b1432c1ca53900a37709f3953aad7362e150973c90a2407ebf",
+}
+
+
+@pytest.mark.parametrize("norm", sorted(GOLDEN_FLOAT_LP_AXIOM_SHA256))
+def test_float_lp_axiom_report_bytes_are_pinned(tmp_path, norm):
+    out = tmp_path / "report.json"
+    argv = ["check-axioms", "--norm", norm, "--backend", "float", "--seed", "5", "--output", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FLOAT_LP_AXIOM_SHA256[norm]
+
+
 @pytest.mark.parametrize("norm", ["lp:3", "lp:3/2"])
 @pytest.mark.parametrize(
     "relation",
@@ -268,6 +293,8 @@ def test_float_lp_chains_construct_off_the_grid(tmp_path, relation, norm):
     assert main(argv) == 0
     payload = json.loads(out.read_text())
     assert payload["samples"] == payload["agreements"] == 100
+    if (relation, norm) in GOLDEN_FLOAT_LP_LAYER_SHA256:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FLOAT_LP_LAYER_SHA256[relation, norm]
 
 
 def test_float_lp_equiv2_meets_near_tangent_spheres(tmp_path):
@@ -465,6 +492,26 @@ class TestNonFiniteTolerance:
         with pytest.raises(SystemExit):
             main(["eval", "--help"])
         assert "ignored, on the exact backend" in " ".join(capsys.readouterr().out.split())
+
+
+class TestHostilePoints:
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_float_coordinates_are_refused(self, tmp_path, capsys, bad):
+        # float_eq holds whenever one side is infinite, so (0,0)-(inf,0) would
+        # compare equal to (0,0)-(1,0)
+        points = tmp_path / "pts.json"
+        points.write_text(json.dumps([{"x": 0, "y": 0}, {"x": bad, "y": 0}, {"x": 0, "y": 0}, {"x": 1, "y": 0}]))
+        argv = ["eval", "--formula", "(equi a b c d)", "--points", str(points), "--norm", "l2", "--backend", "float"]
+        assert main(argv) == 2
+        _assert_one_line_error(capsys, "finite")
+
+    def test_lp_lengths_past_the_double_range_end_without_a_traceback(self, tmp_path, capsys):
+        # |x|^3 of a coordinate difference near 1e308 overflows the double range
+        points = tmp_path / "pts.json"
+        points.write_text(json.dumps([{"x": 0, "y": 0}, {"x": 1e308, "y": 0}, {"x": -1e308, "y": 1e308}, {"x": 0.5, "y": 3}]))
+        argv = ["closure", "--relation", "EQUIV2", "--points", str(points), "--norm", "lp:3", "--backend", "float"]
+        assert main(argv) == 0
+        assert isinstance(json.loads(capsys.readouterr().out), list)
 
 
 class TestChainCap:

@@ -18,7 +18,7 @@ import test_preservation as pointwise
 from equitower import L1, L2, LINF, Point, Space
 from equitower.geometry import affine_combination, lp
 from equitower.oracles import oracle_B, oracle_collinear
-from equitower.preservation import _draw_quadruples, _draw_triples, _float_point, run_similarity_sweep
+from equitower.preservation import _coordinates, _draw_quadruples, _draw_triples, run_similarity_sweep
 from equitower.sampling import rand_point
 from float_between import ref_between, ref_collinear, ref_dist
 
@@ -137,7 +137,7 @@ def test_float_point_draws_as_rand_point(space):
     drawn, ref = random.Random(5), random.Random(5)
     for _ in range(5000):
         p = rand_point(space, ref)
-        x, y = _float_point(drawn)
+        x, y = _coordinates(drawn, False)
         assert (x, y) == (p.x, p.y) and isinstance(x, float) and isinstance(y, float)
     assert drawn.random() == ref.random()
 

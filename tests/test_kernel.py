@@ -352,3 +352,20 @@ def test_betweenness_collinearity_parallelogram(kind):
         want_par = (F(q.x) - a.x, F(q.y) - a.y) == (F(c.x) - d.x, F(c.y) - d.y) and ref_cross(a, q, c) != 0
         assert oracle_parallelogram(space, a, q, c, d) == want_par
     assert between > POOL
+
+
+@pytest.mark.parametrize("p", [3.0, 1.5, 11 / 10])
+def test_lp_length_scales_only_past_the_double_range(p):
+    from equitower.kernel import _lp_length
+
+    rng = random.Random(int(p * 10))
+    for _ in range(2000):
+        x, y = (rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 100) for _ in range(2))
+        # every length the plain form reaches stays the same double
+        assert _lp_length(p, x, y) == (abs(x) ** p + abs(y) ** p) ** (1.0 / p)
+    for x, y in ((1e308, 0.0), (0.0, -1e308), (6e307, -8e307), (1e307, 1e307)):
+        with pytest.raises(OverflowError):
+            abs(max(x, y, key=abs)) ** p
+        m = max(abs(x), abs(y))
+        length = _lp_length(p, x, y)
+        assert math.isfinite(length) and m <= length <= 2 * m
