@@ -18,6 +18,13 @@ Terms that are all variables are read by plain lookups; constants and
 unbound names take the checked read.  References with literal indices get
 their validated :class:`RelationId` from a cache keyed by (name, indices).
 
+Quantifier searches are tabled, exactly: with universe, space, truncation
+and impl map fixed, a quantifier's verdict is a function of the node, its
+free points and its index bindings, memoised under that key (a search that
+raises stores nothing).  Only a node under a quantifier binding a name it
+does not mention is tabled, the one way a key recurs: DELTA(n)'s inner links
+(n links then cost O(n |U|^2) atoms, not |U|^n), but not LE, EQUIV2 or PSI.
+
 GAMMA in formula mode with ``adaptive_n`` is evaluated by iterating its
 truncated double tower directly: per query the disjunction bound is raised
 to ``ceil(2^K * d(b,c)/d(a,b)) + 2`` and the scan starts near the only
@@ -48,6 +55,7 @@ from .ast import (
     SchemaRef,
     Term,
     Var,
+    free_point_vars,
 )
 from .schemas import TruncationParams, expand_schema, schema_params
 
@@ -105,6 +113,7 @@ class _Evaluator:
         self.universe = universe
         self.trunc = trunc
         self.impl = impl
+        self.memo: dict[tuple, tuple[Formula, bool]] = {}
 
     def run(self, f: Formula, pv: dict[str, Point], iv: dict[str, int]) -> bool:
         step = _STEPS.get(type(f))
@@ -145,6 +154,19 @@ class _Evaluator:
         except (AttributeError, KeyError):
             points = tuple(_term_point(t, pv) for t in f.terms)
         return self.schema_truth(rel, points)
+
+    def tabled(self, f: Exists | ForAll, pv: dict[str, Point], iv: dict[str, int], want: bool) -> bool:
+        """``search`` over ``f.vars``, memoised when ``f`` is tabled."""
+        names = getattr(f, "memo_names", _UNBOUND)
+        if names is _UNBOUND:
+            names = _plan(f)  # None: the outermost quantifier is untabled
+        if names is None:
+            return self.search(f.vars, f.body, pv, iv, want)
+        key = (id(f), *map(pv.get, names), *iv.items())
+        hit = self.memo.get(key)
+        if hit is None:  # a search that raises stores nothing; holding f keeps its id unique
+            hit = self.memo[key] = (f, self.search(f.vars, f.body, pv, iv, want))
+        return hit[1]
 
     def search(
         self, names: tuple[str, ...], body: Formula, pv: dict[str, Point], iv: dict[str, int], want: bool
@@ -239,6 +261,22 @@ def _term_point(t: Term, pv: dict[str, Point]) -> Point:
     return p
 
 
+def _plan(root: Exists | ForAll) -> None:
+    """Set ``memo_names`` on each quantifier in ``root``: its free names if tabled, else None."""
+
+    def walk(g: Formula, outer: frozenset[str]) -> None:
+        if isinstance(g, (Exists, ForAll)):
+            names = tuple(free_point_vars(g))
+            object.__setattr__(g, "memo_names", names if outer.difference(names) else None)  # frozen node
+            outer |= frozenset(g.vars)
+        for value in vars(g).values():
+            for child in value if isinstance(value, tuple) else (value,):
+                if type(child) in _STEPS:
+                    walk(child, outer)
+
+    walk(root, frozenset())
+
+
 _STEPS = {
     AtomEqui: _Evaluator._equi,
     AtomEq: _Evaluator._eq,
@@ -246,8 +284,8 @@ _STEPS = {
     And: _Evaluator._and,
     Or: _Evaluator._or,
     Implies: lambda ev, f, pv, iv: (not ev.run(f.left, pv, iv)) or ev.run(f.right, pv, iv),
-    Exists: lambda ev, f, pv, iv: ev.search(f.vars, f.body, pv, iv, True),
-    ForAll: lambda ev, f, pv, iv: not ev.search(f.vars, f.body, pv, iv, False),
+    Exists: lambda ev, f, pv, iv: ev.tabled(f, pv, iv, True),
+    ForAll: lambda ev, f, pv, iv: not ev.tabled(f, pv, iv, False),
     CountableAnd: lambda ev, f, pv, iv: not ev.count(f, ev.trunc.K, pv, iv, False),
     CountableOr: lambda ev, f, pv, iv: ev.count(f, ev.trunc.N, pv, iv, True),
     SchemaRef: _Evaluator._ref,

@@ -24,6 +24,7 @@ exact l2 is refused, since its points are irrational in general.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +37,7 @@ Scalar = Union[Fraction, float]
 
 EXACT = "exact"
 FLOAT = "float"
+_FLOAT_COORD_MAX = sys.float_info.max / 4  # beyond it a difference or length can be inf, which float_eq matches
 
 NORM_KINDS = ("l1", "l2", "linf", "lp")
 
@@ -248,8 +250,8 @@ class Space:
         if self.backend == EXACT:
             return Point(parse_exact(x), parse_exact(y))
         p = Point(float(x), float(y))
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):  # float_eq holds whenever one side is infinite
-            raise GeometryError(f"float coordinates must be finite, got ({p.x}, {p.y})")
+        if not (abs(p.x) <= _FLOAT_COORD_MAX and abs(p.y) <= _FLOAT_COORD_MAX):  # nan fails too
+            raise GeometryError(f"float coordinates must be finite, |c| <= {_FLOAT_COORD_MAX:.3g}, got ({p.x}, {p.y})")
         return p
 
     def check_point(self, p: Point) -> Point:

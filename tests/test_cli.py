@@ -505,10 +505,20 @@ class TestHostilePoints:
         assert main(argv) == 2
         _assert_one_line_error(capsys, "finite")
 
-    def test_lp_lengths_past_the_double_range_end_without_a_traceback(self, tmp_path, capsys):
-        # |x|^3 of a coordinate difference near 1e308 overflows the double range
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    def test_coordinates_whose_differences_overflow_are_refused(self, tmp_path, capsys, norm):
+        # 1e308 - (-1e308) is inf, and float_eq(inf, 1) holds
         points = tmp_path / "pts.json"
-        points.write_text(json.dumps([{"x": 0, "y": 0}, {"x": 1e308, "y": 0}, {"x": -1e308, "y": 1e308}, {"x": 0.5, "y": 3}]))
+        points.write_text(json.dumps([{"x": 1e308, "y": 0}, {"x": -1e308, "y": 0}, {"x": 0, "y": 0}, {"x": 1, "y": 0}]))
+        argv = ["eval", "--formula", "(equi a b c d)", "--points", str(points), "--norm", norm, "--backend", "float"]
+        assert main(argv) == 2
+        _assert_one_line_error(capsys, "|c| <=")
+
+    def test_lp_lengths_past_the_double_range_end_without_a_traceback(self, tmp_path, capsys):
+        # |x|^3 of a coordinate difference near 8e307 overflows the double range
+        points = tmp_path / "pts.json"
+        corners = [{"x": 0, "y": 0}, {"x": 4e307, "y": 0}, {"x": -4e307, "y": 4e307}, {"x": 0.5, "y": 3}]
+        points.write_text(json.dumps(corners))
         argv = ["closure", "--relation", "EQUIV2", "--points", str(points), "--norm", "lp:3", "--backend", "float"]
         assert main(argv) == 0
         assert isinstance(json.loads(capsys.readouterr().out), list)

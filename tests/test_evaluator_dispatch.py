@@ -1,25 +1,29 @@
 """The evaluator's dispatch table against the ``isinstance`` ladder of
 ``reference_eval``, plus the contracts of binding in place: the caller's
 valuation comes back unchanged, connectives stay lazy, and oracle dispatches
-go through ``evaluator.oracle_truth``."""
+go through ``evaluator.oracle_truth``.  The reference keeps no memo, so the
+DELTA and NEQ comparisons check the tabled quantifier searches too."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from equitower import L1, L2, ImplMap, Point, Space, TruncationParams, Universe
+from equitower import L1, L2, LINF, ImplMap, Point, Space, TruncationParams, Universe
+from equitower.closure import closure_for_relation
 from equitower.formulas import evaluator
-from equitower.formulas.evaluator import EvalError, _Evaluator
+from equitower.formulas.evaluator import EvalError, _Evaluator, schema_query
 from equitower.formulas.generate import random_formula
 from equitower.formulas.parser import parse_formula
-from equitower.formulas.verify import verify_layer
+from equitower.formulas.verify import sample_instance, verify_layer
 from equitower.oracles import GAMMA, RelationId
 
 from reference_eval import ReferenceEvaluator
 
 F = Fraction
 S1 = Space(L1, "exact")
+SINF = Space(LINF, "exact")
 S2F = Space(L2, "float", 1e-9)
 SMALL = TruncationParams(K=2, N=3, chain_max=3, b_depth=1)
 NAMES = ("a", "b", "c", "d", "p", "q", "r", "w")
@@ -134,3 +138,70 @@ def test_oracle_dispatches_go_through_the_module_global(monkeypatch, rel, lower)
     report = verify_layer(S1, rel, TruncationParams(), samples=20, seed=11)
     assert report.passed
     assert seen and set(seen) == lower
+
+
+CHAINS = ImplMap.from_dict({"DELTA": "formula", "NEQ": "formula"})
+
+
+def chain_relations(trunc):
+    return [RelationId("DELTA", (n,)) for n in range(2, trunc.chain_max + 1)] + [RelationId("NEQ")]
+
+
+def assert_tabling_agrees(space, trunc, cases):
+    """The tabled evaluator and the memo-free reference agree on each
+    (relation, points, universe) case, and both verdicts occur."""
+    seen = set()
+    for rel, pts, universe in cases:
+        query, params = schema_query(rel)
+        pv = dict(zip(params, pts))
+        want = ReferenceEvaluator(space, universe, trunc, CHAINS).run(query, dict(pv), {})
+        assert _Evaluator(space, universe, trunc, CHAINS).run(query, pv, {}) == want, (rel, pts)
+        seen.add(want)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("space", [S1, SINF, S2F], ids=["l1-exact", "linf-exact", "l2-float"])
+def test_tabled_chains_agree_with_the_reference_on_closures(space):
+    rng = random.Random(31)
+    trunc = TruncationParams()
+    samples = [(rel, sample_instance(space, rng, rel, trunc)) for rel in chain_relations(trunc) for _ in range(6)]
+    assert_tabling_agrees(
+        space, trunc, [(rel, pts, closure_for_relation(space, rel, pts, trunc)) for rel, pts in samples]
+    )
+
+
+@pytest.mark.parametrize("space", [S1, SINF, S2F], ids=["l1-exact", "linf-exact", "l2-float"])
+@pytest.mark.parametrize("k,chain_max", [(3, 8), (4, 6), (5, 4)])
+def test_tabled_chains_agree_with_the_reference_on_grids(space, k, chain_max):
+    # equal lengths abound on a grid; the untabled reference is exponential in
+    # the chain length, so the larger grids stop at shorter chains
+    coord = float if space.backend == "float" else int
+    grid = Universe(space, [Point(coord(i), coord(j)) for i in range(k) for j in range(k)])
+    rng = random.Random(k)
+    trunc = TruncationParams(chain_max=chain_max)
+    cases = [
+        (rel, [rng.choice(grid.points) for _ in schema_query(rel)[1]], grid)
+        for rel in chain_relations(trunc)
+        for _ in range(6)
+    ]
+    assert_tabling_agrees(space, trunc, cases)
+
+
+class CountingSearches(_Evaluator):
+    searches = 0
+
+    def search(self, names, body, pv, iv, want):
+        self.searches += 1
+        return super().search(names, body, pv, iv, want)
+
+
+def test_a_false_long_chain_on_a_grid_is_found_in_polynomial_time():
+    # every z_i is re-entered from many z_(i-1); untabled, this search grows
+    # about 8x per chain step and took several seconds
+    grid = Universe(SINF, [pt(i, j) for i in range(7) for j in range(7)])
+    query, params = schema_query(RelationId("DELTA", (8,)))
+    ev = CountingSearches(SINF, grid, TruncationParams(), CHAINS)
+    start = time.perf_counter()
+    assert not ev.run(query, dict(zip(params, (pt(0, 0), pt(1, 0), pt(40, 0)))), {})
+    assert time.perf_counter() - start < 0.5
+    assert ev.searches <= 8 * len(grid)
