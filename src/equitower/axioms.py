@@ -122,7 +122,7 @@ def check_axiom_b(space: Space, samples: int, seed: int) -> AxiomReport:
 
     def draw(rng: random.Random, rep: AxiomReport) -> None:
         # a, b, c with |ab| / |ac| rational on this backend when a != c
-        if space.backend == "float" or space.norm.kind != "l2":
+        if space.kernel.constructs:
             a, b, c = (rand_point(space, rng) for _ in range(3))
         else:
             a, b, c = rational_distance_triangle(rng)[:3]
@@ -187,7 +187,7 @@ def check_axiom_c_d_e(space: Space, samples: int, seed: int) -> AxiomReport:
 
 def _triangle_sample(space: Space, rng: random.Random):
     """b, a, c plus the rational lengths |ba|, |ac|, |bc| where available."""
-    if space.backend == "exact" and space.norm.kind == "l2":
+    if not space.kernel.constructs:  # lengths are irrational in general: draw rational ones
         if rng.random() < 0.3:  # collinear family along a rational-length direction
             b = rand_point(space, rng)
             lam = rand_positive_fraction(rng, span=8)
@@ -239,11 +239,11 @@ def check_axiom_f(space: Space, samples: int, seed: int) -> AxiomReport:
 def check_axiom_g(space: Space, samples: int, seed: int) -> AxiomReport:
     """Triangles exist for any three lengths within the weak triangle bound.
 
-    Exact l2 refuses sphere intersections (irrational apex), so the l2
-    construction runs on the float twin at the default tolerance; the
-    report's backend field records that.
+    A plane whose kernel does not construct (exact l2, with its irrational
+    apexes) runs on the float twin at the default tolerance; the report's
+    backend field records that.
     """
-    if space.backend == "exact" and space.norm.kind == "l2":
+    if not space.kernel.constructs:
         space = Space(space.norm, "float", 1e-9)
 
     def draw(rng: random.Random, rep: AxiomReport) -> None:

@@ -10,10 +10,10 @@ before entering the universe.  :func:`closure_for_relation` is the one
 recipe table: each relation's branch builds its universe once, refuters
 included, and the helpers it calls never look at a relation name.
 
-On the exact l2 backend, constructions that need a sphere-sphere
-intersection (EQUIV2's z-witnesses, PSI's e-point, DELTA's detour apexes,
-LE's s-witnesses) are refused; those layers verify on the float backend
-instead (see :func:`equitower.formulas.verify.verification_space`).
+The layers in :data:`SPHERE_BOUND_LAYERS` need sphere meets (EQUIV2's
+z-witnesses, PSI's e-point, DELTA's detour apexes, LE's s-witnesses); where
+the kernel does not construct (exact l2) they are refused, and verify on
+floats instead (see :func:`equitower.formulas.verify.verification_space`).
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ from .universe import (
     Universe,
 )
 from .formulas.schemas import TruncationParams
+
+
+SPHERE_BOUND_LAYERS = frozenset({"EQUIV2", "PSI", "DELTA", "LE"})
 
 
 class IncompleteClosureError(GeometryError):
@@ -277,7 +280,7 @@ def closure_for_relation(
         if space.points_eq(end_a, end_b):
             return uni
         extras = [midpoint(end_a, end_b)]
-        if space.norm.kind in ("l1", "linf") or space.backend == "float":
+        if space.kernel.constructs:
             half = Fraction(1, 2) * space.length_value(end_a, end_b)
             extras.append(sphere_intersection_point(space, end_a, half, end_b, half))
         return uni.add(extras, TAG_MIDPOINT)

@@ -12,11 +12,11 @@ A relation is layer-verifiable exactly when it has a sampler in
 :data:`equitower.oracles.RELATIONS`, its formula from ``schemas._EXPANSIONS``
 and its universe from :func:`equitower.closure.closure_for_relation`.
 
-Backend policy: everything verifies on the exact backend except the layers
-whose closures need sphere-sphere intersections (EQUIV2, PSI, DELTA, LE)
-in the l2 norm, where those intersections are irrational and exact
-construction is refused; they verify on the float backend at the default
-tolerance instead.
+Backend policy: everything verifies on the exact backend except lp norms,
+which are float-only, and the layers whose closures need sphere-sphere
+intersections (``closure.SPHERE_BOUND_LAYERS``) on a plane whose exact
+kernel does not construct (l2); they verify on the float backend at the
+default tolerance instead.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from ..closure import closure_for_relation
+from ..closure import SPHERE_BOUND_LAYERS, closure_for_relation
 from ..geometry import (
     NormSpec,
     Point,
@@ -51,16 +51,14 @@ from ..sampling import (
 from .evaluator import ImplMap, _Evaluator, schema_query
 from .schemas import SchemaError, TruncationParams
 
-SPHERE_BOUND_LAYERS = frozenset({"EQUIV2", "PSI", "DELTA", "LE"})
-
 
 def verification_space(rel: RelationId, norm: NormSpec, tolerance: float = 1e-9) -> Space:
     """Exact backend wherever witness construction is exact; float otherwise."""
-    if norm.kind == "lp":
-        return Space(norm, "float", tolerance)
-    if norm.kind == "l2" and rel.name in SPHERE_BOUND_LAYERS:
-        return Space(norm, "float", tolerance)
-    return Space(norm, "exact", 0.0)
+    if norm.kind != "lp":  # lp is float-only
+        exact = Space(norm, "exact")
+        if exact.kernel.constructs or rel.name not in SPHERE_BOUND_LAYERS:
+            return exact
+    return Space(norm, "float", tolerance)
 
 
 @dataclass

@@ -18,7 +18,7 @@ meet: :func:`sphere_meets` picks it, :func:`sphere_intersection_point` checks
 the inputs and takes the first point.  l1 and linf read the points off a 4x4
 grid of pinned integer coordinates, float l2 has a closed formula and its
 mirror image, and float lp bisects from a bracket on the line of centres;
-exact l2 is refused, since its points are irrational in general.
+a plane whose kernel does not construct (exact l2) is refused.
 """
 
 from __future__ import annotations
@@ -294,10 +294,6 @@ class Space:
         """d(a,b) = value, for a rational value (a double on floats)."""
         return self.kernel.length_is(a, b, value)
 
-    def p_value(self) -> Fraction:
-        assert self.norm.kind == "lp" and self.norm.p is not None
-        return self.norm.p
-
     def distance(self, a: Point, b: Point):
         """Length of segment ab as a backend scalar.
 
@@ -307,7 +303,7 @@ class Space:
         """
         self.check_point(a)
         self.check_point(b)
-        if self.backend == EXACT and self.norm.kind == "l2":
+        if not self.kernel.constructs:
             return Rad.sqrt(self.sq_dist(a, b))
         return self.length_value(a, b)
 
@@ -490,7 +486,7 @@ def _lp_float_meets(space: Space, c: Point, radius_c: float, d: Point, radius_d:
     half of c's sphere, left then right of line cd, is bisected until the
     midpoint angle equals an end.
     """
-    p = float(space.p_value())
+    p = float(space.norm.p)
 
     def on_ball(theta: float) -> Point:
         dx, dy = math.cos(theta), math.sin(theta)
@@ -519,13 +515,13 @@ def sphere_meets(space: Space, c: Point, radius_c, d: Point, radius_d) -> list[P
     order (on exact planes, none when the spheres do not meet).  Float l2
     and lp: a point left of line cd, then one right of it; one point alone
     where lp spheres meet on the line of centres or l2 centres coincide.
-    Exact l2 is refused.
+    A plane whose kernel does not construct is refused.
     """
+    if not space.kernel.constructs:
+        raise ExactBackendRefusedError("exact l2 sphere intersection is irrational in general; use the float backend")
     kind = space.norm.kind
     if kind in ("l1", "linf"):
         return [e for _, e in _box_meets(space, c, radius_c, d, radius_d)]
-    if space.backend == EXACT:
-        raise ExactBackendRefusedError("exact l2 sphere intersection is irrational in general; use the float backend")
     if kind == "l2":
         return _l2_float_meets(c, radius_c, d, radius_d)
     return _lp_float_meets(space, c, radius_c, d, radius_d)
@@ -585,7 +581,7 @@ def space_from_config(cfg: dict) -> Space:
 def space_to_config(space: Space) -> dict:
     norm: object
     if space.norm.kind == "lp":
-        norm = {"lp": format_exact(space.p_value())}
+        norm = {"lp": format_exact(space.norm.p)}
     else:
         norm = space.norm.kind
     return {"norm": norm, "backend": space.backend, "tolerance": space.tolerance}

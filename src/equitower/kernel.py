@@ -1,8 +1,11 @@
-"""Comparison kernels: how a ``Space`` decides length comparisons.
+"""Comparison kernels: how a ``Space`` decides length comparisons, and
+what its plane can construct.
 
 There is one kernel per norm and backend: exact l1, exact linf, exact l2,
 or float (any norm).  ``kernel_for`` picks it; ``Space`` holds it and
-validates the arguments before calling it.
+validates the arguments before calling it.  Other modules ask the kernel
+what a plane can do, never the norm and backend: ``constructs`` is False
+only on exact l2, whose sphere meets and most lengths are irrational.
 
 An exact kernel reads the integers (X, Y, W) of each
 :class:`~equitower.geometry.ExactPoint` and never builds a ``Fraction`` on
@@ -13,18 +16,20 @@ cross-multiplication (``n1*d2 == n2*d1``), and a rational scale ``qn/qd``
 enters the same way, squared on l2.  Sums of l2 lengths (``path_sum_eq``,
 ``path_defect_at_most``) are decided by squaring out the radicals on
 integers.  The float kernel compares doubles with ``float_eq``/``float_le``
-under the space's tolerance.
+under the space's tolerance, and refuses (``ScalarError``) a sum, multiple
+or ratio of lengths past the double range, which ``float_eq`` would match.
 
 Kernels also own the length *values* that constructions need: the length
 d(a,b), the ratio d(a,b)/d(c,d), and the test d(a,b) = r.  Exact kernels
 give ``Fraction``s (an exact l2 length or ratio is the rational root of
 the squared one, or ``None`` when that root is irrational) and test
 d(a,b) = r on integers, squared on l2; the float kernel gives doubles.
-Both kinds of kernel also decide collinearity and affine betweenness on
-difference vectors: integers on the exact kernels, and on the float kernel
-the coordinate differences, read through ``.x``/``.y``, under the tolerance.
-The float kernel's ``length`` and ``between_vectors`` take bare
-coordinates, so map fuzzing decides rows of doubles without building points.
+``vector_length(x, y)`` is a bare vector's length: integers on the exact
+kernels (squared on l2), doubles on the float kernel, so that map fuzzing
+decides rows without building points.  The affine tests read coordinates:
+``coords_eq`` (on floats, each coordinate under the tolerance), the
+midpoint test ``is_midpoint`` (2(b - a) = c - a on the exact kernels),
+collinearity and betweenness, on integer or float difference vectors.
 """
 
 from __future__ import annotations
@@ -34,10 +39,14 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import ceil_sqrt, float_eq, float_le
+from .scalars import ScalarError, ceil_sqrt, float_eq, float_le
 
 if TYPE_CHECKING:
     from .geometry import NormSpec, Point
+
+
+# the length of a vector (x, y) in each norm, of integers or of doubles
+_VECTOR_LENGTHS = {"l1": lambda x, y: abs(x) + abs(y), "linf": lambda x, y: max(abs(x), abs(y)), "l2": math.hypot}
 
 
 def _rational_root(n: int, d: int) -> Fraction | None:
@@ -74,15 +83,24 @@ def int_between(px: int, py: int, qx: int, qy: int) -> bool:
 class ExactKernel:
     """Exact comparisons on integer lengths ``(num, den)``, den > 0.
 
-    Subclasses define ``length(a, b)``; ``squared`` is set when that is the
-    squared length, so that scale factors enter squared too.
+    Subclasses define ``length(a, b)`` and ``vector_length(x, y)``;
+    ``squared`` is set when they are squared lengths, so that scale factors
+    enter squared too.
     """
 
     squared = False
+    constructs = True
 
     @staticmethod
     def points_eq(a: Point, b: Point) -> bool:
         return a == b  # normalised triples
+
+    coords_eq = points_eq
+
+    @staticmethod
+    def is_midpoint(a: Point, b: Point, c: Point) -> bool:  # 2(b - a) = c - a
+        ux, uy, vx, vy = _vectors(a, b, c)
+        return 2 * ux == vx and 2 * uy == vy
 
     @staticmethod
     def collinear(a: Point, b: Point, c: Point) -> bool:
@@ -183,6 +201,8 @@ class _BoxKernel(ExactKernel):
 
 
 class _ExactL1Kernel(_BoxKernel):
+    vector_length = staticmethod(_VECTOR_LENGTHS["l1"])
+
     @staticmethod
     def length(a: Point, b: Point) -> tuple[int, int]:
         aw, bw = a.W, b.W
@@ -190,6 +210,8 @@ class _ExactL1Kernel(_BoxKernel):
 
 
 class _ExactLinfKernel(_BoxKernel):
+    vector_length = staticmethod(_VECTOR_LENGTHS["linf"])
+
     @staticmethod
     def length(a: Point, b: Point) -> tuple[int, int]:
         aw, bw = a.W, b.W
@@ -198,7 +220,9 @@ class _ExactLinfKernel(_BoxKernel):
 
 class _ExactL2Kernel(ExactKernel):
     squared = True
+    constructs = False  # sphere meets and most lengths are irrational
     length = staticmethod(sq_length)
+    vector_length = staticmethod(lambda x, y: x * x + y * y)
 
     def path_sum_eq(self, a: Point, b: Point, c: Point) -> bool:
         # sqrt(A) + sqrt(B) = sqrt(C)  <=>  C - A - B >= 0 and (C-A-B)^2 = 4AB;
@@ -224,11 +248,6 @@ class _ExactL2Kernel(ExactKernel):
 _EXACT_KERNELS = {"l1": _ExactL1Kernel(), "linf": _ExactLinfKernel(), "l2": _ExactL2Kernel()}
 
 
-# the length of a vector (x, y) in a box norm, of integers or of doubles
-BOX_LENGTHS = {"l1": lambda x, y: abs(x) + abs(y), "linf": lambda x, y: max(abs(x), abs(y))}
-_FLOAT_LENGTHS = {**BOX_LENGTHS, "l2": math.hypot}
-
-
 def _lp_length(p: float, x: float, y: float) -> float:
     try:
         return (abs(x) ** p + abs(y) ** p) ** (1.0 / p)
@@ -237,21 +256,33 @@ def _lp_length(p: float, x: float, y: float) -> float:
         return m * ((abs(x) / m) ** p + (abs(y) / m) ** p) ** (1.0 / p)
 
 
+def _finite(value: float) -> float:
+    """A sum, multiple or ratio of float lengths, refused past the double range."""
+    if value == math.inf:
+        raise ScalarError("float length arithmetic overflows: a sum, multiple or ratio of lengths is past the double range")
+    return value
+
+
 class FloatKernel:
     """Double-precision comparisons under ``float_eq``/``float_le`` with a tolerance.
-    ``dist(a, b)`` is ``length(x, y)``, the norm of a vector, taken of a - b."""
+    ``dist(a, b)`` is ``vector_length(x, y)``, the norm of a vector, taken of a - b."""
+
+    constructs = True
 
     def __init__(self, norm: NormSpec, tolerance: float):
-        if norm.kind == "lp":
-            length = functools.partial(_lp_length, float(norm.p))
-        else:
-            length = _FLOAT_LENGTHS[norm.kind]
-        self.length = length
+        length = functools.partial(_lp_length, float(norm.p)) if norm.kind == "lp" else _VECTOR_LENGTHS[norm.kind]
+        self.vector_length = length
         self.dist = lambda a, b: length(a.x - b.x, a.y - b.y)
         self.tol = tolerance
 
     def points_eq(self, a: Point, b: Point) -> bool:
         return float_eq(self.dist(a, b), 0.0, self.tol)
+
+    def coords_eq(self, p: Point, q: Point) -> bool:
+        return float_eq(p.x, q.x, self.tol) and float_eq(p.y, q.y, self.tol)
+
+    def is_midpoint(self, a: Point, b: Point, c: Point) -> bool:  # a + c = 2b per coordinate
+        return float_eq(a.x + c.x, 2 * b.x, self.tol) and float_eq(a.y + c.y, 2 * b.y, self.tol)
 
     def length_value(self, a: Point, b: Point) -> float:
         return self.dist(a, b)
@@ -269,20 +300,20 @@ class FloatKernel:
         return float_le(self.dist(a, b), self.dist(c, d), self.tol)
 
     def eq_dist_scaled(self, a: Point, b: Point, qn: int, qd: int, c: Point, d: Point) -> bool:
-        return float_eq(self.dist(a, b), qn / qd * self.dist(c, d), self.tol)
+        return float_eq(self.dist(a, b), _finite(qn / qd * self.dist(c, d)), self.tol)
 
     def le_dist_scaled(self, a: Point, b: Point, qn: int, qd: int, c: Point, d: Point) -> bool:
-        return float_le(self.dist(a, b), qn / qd * self.dist(c, d), self.tol)
+        return float_le(self.dist(a, b), _finite(qn / qd * self.dist(c, d)), self.tol)
 
     def ge_dist_scaled(self, a: Point, b: Point, qn: int, qd: int, c: Point, d: Point) -> bool:
-        return float_le(qn / qd * self.dist(c, d), self.dist(a, b), self.tol)
+        return float_le(_finite(qn / qd * self.dist(c, d)), self.dist(a, b), self.tol)
 
     def path_sum_eq(self, a: Point, b: Point, c: Point) -> bool:
-        return float_eq(self.dist(a, b) + self.dist(b, c), self.dist(a, c), self.tol)
+        return float_eq(_finite(self.dist(a, b) + self.dist(b, c)), self.dist(a, c), self.tol)
 
     def path_defect_at_most(self, a: Point, b: Point, c: Point, cn: int, cd: int) -> bool:
-        lhs = self.dist(a, b) + self.dist(b, c)
-        rhs = self.dist(a, c) + cn / cd * self.dist(a, b)
+        lhs = _finite(self.dist(a, b) + self.dist(b, c))
+        rhs = _finite(self.dist(a, c) + cn / cd * self.dist(a, b))
         return float_le(lhs, rhs, self.tol)
 
     def scaled_ratio_ceil(self, factor: int, a: Point, b: Point, c: Point, d: Point) -> int | None:
@@ -290,7 +321,7 @@ class FloatKernel:
         dd = self.dist(c, d)
         if dd == 0.0:
             return None
-        return math.ceil(factor * self.dist(a, b) / dd)
+        return math.ceil(_finite(factor * self.dist(a, b) / dd))
 
     def collinear(self, a: Point, b: Point, c: Point) -> bool:
         ax, ay = a.x, a.y
@@ -308,8 +339,8 @@ class FloatKernel:
         q = c-a, b lies on ac.  A cross product within tol times the scale of
         the two vectors counts as zero."""
         tol = self.tol
-        if float_eq(self.length(qx, qy), 0.0, tol):  # a = c
-            return float_eq(self.length(px, py), 0.0, tol)
+        if float_eq(self.vector_length(qx, qy), 0.0, tol):  # a = c
+            return float_eq(self.vector_length(px, py), 0.0, tol)
         scale = max(1.0, abs(qx), abs(qy)) * max(1.0, abs(px), abs(py))
         if abs(qx * py - qy * px) > tol * scale:
             return False
@@ -319,7 +350,7 @@ class FloatKernel:
     def annulus_ok(self, c: Point, radius_c, d: Point, radius_d) -> bool:
         big, small = max(radius_c, radius_d), min(radius_c, radius_d)
         g = self.dist(c, d)
-        return float_le(big - small, g, self.tol) and float_le(g, big + small, self.tol)
+        return float_le(big - small, g, self.tol) and float_le(g, _finite(big + small), self.tol)
 
 
 def kernel_for(norm: NormSpec, backend: str, tolerance: float) -> ExactKernel | FloatKernel:

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .geometry import EXACT, Point, Space, affine_combination, midpoint, p_sub
-from .scalars import float_eq
+from .geometry import Point, Space, affine_combination, p_sub
 
 
 class OracleError(Exception):
@@ -100,20 +99,9 @@ def oracle_equiv2(space: Space, a: Point, b: Point, c: Point, d: Point) -> bool:
     return space.eq_dist_scaled(a, b, 2, c, d)
 
 
-def _coords_eq(space: Space, p: Point, q: Point) -> bool:
-    if space.backend == EXACT:
-        return space.kernel.points_eq(p, q)
-    tol = space.tolerance
-    return float_eq(p.x, q.x, tol) and float_eq(p.y, q.y, tol)
-
-
 def oracle_midpoint(space: Space, a: Point, b: Point, c: Point) -> bool:
     """a + c = 2b coordinatewise, with a != c (affine; norm plays no role)."""
-    if space.points_eq(a, c):
-        return False
-    if space.backend == EXACT:
-        return space.points_eq(b, midpoint(a, c))
-    return _coords_eq(space, Point(a.x + c.x, a.y + c.y), Point(2 * b.x, 2 * b.y))
+    return not space.points_eq(a, c) and space.kernel.is_midpoint(a, b, c)
 
 
 def oracle_phi(space: Space, n: int, a: Point, b: Point, x: Point) -> bool:
@@ -132,18 +120,14 @@ def oracle_alpha(space: Space, n: int, a: Point, b: Point, x: Point) -> bool:
     """x is on ray a->b with d(a,x) = n*d(a,b): exactly x = a + n*(b-a)."""
     if n < 1:
         raise OracleError("ALPHA needs n >= 1")
-    if space.points_eq(a, b):
-        return False
-    return _coords_eq(space, x, affine_combination(a, b, n))
+    return not space.points_eq(a, b) and space.kernel.coords_eq(x, affine_combination(a, b, n))
 
 
 def oracle_beta(space: Space, k: int, a: Point, b: Point, y: Point) -> bool:
     """y is on segment ab with d(a,y) = 2^(-k) * d(a,b): y = a + 2^(-k)(b-a)."""
     if k < 1:
         raise OracleError("BETA needs k >= 1")
-    if space.points_eq(a, b):
-        return False
-    return _coords_eq(space, y, affine_combination(a, b, Fraction(1, 2**k)))
+    return not space.points_eq(a, b) and space.kernel.coords_eq(y, affine_combination(a, b, Fraction(1, 2**k)))
 
 
 def oracle_psi(space: Space, n: int, k: int, a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -203,10 +187,8 @@ def oracle_collinear(space: Space, a: Point, b: Point, c: Point) -> bool:
 
 def oracle_parallelogram(space: Space, a: Point, b: Point, c: Point, d: Point) -> bool:
     """a,b,c,d are the vertices, in order, of a nondegenerate parallelogram."""
-    if not _coords_eq(space, p_sub(b, a), p_sub(c, d)):
-        return False
     # with b-a = c-d, the four points are collinear iff a,b,c already are
-    return not oracle_collinear(space, a, b, c)
+    return space.kernel.coords_eq(p_sub(b, a), p_sub(c, d)) and not oracle_collinear(space, a, b, c)
 
 
 RELATIONS: dict[str, RelationSpec] = {

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .geometry import EXACT, ExactPoint, Point, Space, point_to_record
-from .kernel import BOX_LENGTHS, FloatKernel, int_between as _int_between
+from .kernel import FloatKernel, int_between as _int_between
 from .oracles import oracle_B
 from .sampling import Matrix, generator_rows, isometry_generators, point_draws
 from .scalars import float_eq, format_exact
@@ -213,10 +213,6 @@ def _coordinates(rng: random.Random, exact: bool) -> tuple:
     return xn / xd, yn / yd
 
 
-# the length (l1, linf) or squared length (l2) of an integer vector
-_INT_LENGTH = {**BOX_LENGTHS, "l2": lambda x, y: x * x + y * y}
-
-
 def _integer_matrix(m: Matrix) -> tuple[int, int, int, int, int]:
     """The entries of m times their least common denominator k, then k."""
     k = math.lcm(*(q.denominator for q in m))
@@ -245,7 +241,7 @@ def _points(space: Space, sample: tuple) -> tuple[Point, ...]:
 def _float_eq_dist(kernel: FloatKernel, row: tuple) -> bool:
     """d(a,b) = d(c,d) on a row (ax, ay, bx, by, cx, cy, dx, dy), as ``kernel.eq_dist``."""
     ax, ay, bx, by, cx, cy, dx, dy = row
-    return float_eq(kernel.length(ax - bx, ay - by), kernel.length(cx - dx, cy - dy), kernel.tol)
+    return float_eq(kernel.vector_length(ax - bx, ay - by), kernel.vector_length(cx - dx, cy - dy), kernel.tol)
 
 
 def _float_between(kernel: FloatKernel, row: tuple) -> bool:
@@ -260,7 +256,7 @@ def _draw_quadruples(space: Space, rng: random.Random, n: int) -> _Samples:
     drawn = _Samples([], [], [])
     exact = space.backend == EXACT
     generators = generator_rows(space)
-    length = _INT_LENGTH.get(space.norm.kind)
+    length = space.kernel.vector_length
     bits, g = rng.getrandbits, len(generators)
     kg = g.bit_length()
     for _ in range(n):
@@ -336,7 +332,7 @@ def _classify(
         post = [space.eq_dist(*map(apply, _points(space, q))) for q in quads.samples]
         post_between = [pre and oracle_B(space, *map(apply, _points(space, t))) for pre, t in zip(triples.pre, triples.samples)]
     elif space.backend == EXACT:
-        length = _INT_LENGTH[space.norm.kind]
+        length = space.kernel.vector_length
         m11, m12, m21, m22, _ = _integer_matrix(plane_map.matrix)
         post = [
             length(m11 * ux + m12 * uy, m21 * ux + m22 * uy) == length(m11 * vx + m12 * vy, m21 * vx + m22 * vy)

@@ -523,6 +523,25 @@ class TestHostilePoints:
         assert main(argv) == 0
         assert isinstance(json.loads(capsys.readouterr().out), list)
 
+    def test_length_sums_past_the_double_range_are_refused(self, tmp_path, capsys):
+        # in l1, d(a,b) + d(b,c) is inf, and float_eq(inf, d(a,c)) would hold
+        corners = [(4.4e307, 4.4e307), (-4.4e307, -4.4e307), (4.4e307, 4.3e307)]
+        argv = ["eval", "--formula", "(rel GAMMA a b c)", "--impl", "GAMMA=oracle", "--norm", "l1", "--backend", "float"]
+        for scale, code in ((1e-307, 1), (1.0, 2)):  # scaled down, the same points are not between
+            points = tmp_path / f"pts-{scale}.json"
+            points.write_text(json.dumps([{"x": x * scale, "y": y * scale} for x, y in corners]))
+            assert main([*argv, "--points", str(points)]) == code
+        _assert_one_line_error(capsys, "overflows")
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_length_ratios_past_the_double_range_are_refused(self, tmp_path, capsys, norm):
+        # GAMMA's adaptive N is ceil(factor * d(a,c) / d(a,b)), which is inf here
+        points = tmp_path / "pts.json"
+        points.write_text(json.dumps([{"x": 0, "y": 0}, {"x": 1, "y": 0}, {"x": 4e307, "y": 0}]))
+        argv = ["eval", "--formula", "(rel GAMMA a b c)", "--points", str(points), "--norm", norm, "--backend", "float"]
+        assert main(argv) == 2
+        _assert_one_line_error(capsys, "overflows")
+
 
 class TestChainCap:
     def test_cap_reaches_axiom_i_inside_the_suite(self, tmp_path):

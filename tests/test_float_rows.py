@@ -176,5 +176,5 @@ def test_lengths_are_the_reference_norms():
             a, b = rand_point(space, rng), rand_point(space, rng)
             want = ref_dist(space, a, b)
             assert space.kernel.dist(a, b) == want
-            assert space.kernel.length(a.x - b.x, a.y - b.y) == want
+            assert space.kernel.vector_length(a.x - b.x, a.y - b.y) == want
             assert math.isfinite(want)

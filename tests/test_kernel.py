@@ -6,6 +6,8 @@ in plain ``Fraction``s: l1/linf lengths, squared l2 lengths, and the
 squaring identities for sums of l2 lengths.  The pools are seeded draws
 from :mod:`equitower.sampling` (as the benchmark's micro-timings draw
 them), plus coincident points, ``int`` coordinates and large denominators.
+On every plane, exact and float, ``kernel.constructs`` is checked against
+what sphere intersection and the layer verifier actually do.
 """
 
 import math
@@ -16,16 +18,21 @@ import pytest
 
 from equitower import (
     ExactBackendRefusedError,
+    TruncationParams,
     NoIntersectionError,
     NormSpec,
     Point,
     Space,
     affine_combination,
+    lp,
     space_to_config,
     sphere_intersection_point,
 )
+from equitower.closure import SPHERE_BOUND_LAYERS
+from equitower.formulas.verify import _SAMPLERS, verification_space, verify_layer
 from equitower.geometry import p_add, p_sub
 from equitower.oracles import (
+    RelationId,
     oracle_B,
     oracle_alpha,
     oracle_beta,
@@ -303,6 +310,50 @@ def test_kernel_is_not_part_of_space_identity():
     assert repr(a) == "Space(norm=NormSpec(kind='l2', p=None), backend='exact', tolerance=0.0)"
     assert space_to_config(a) == {"norm": "l2", "backend": "exact", "tolerance": 0.0}
     assert a != Space(NormSpec("l1"), "exact")
+
+
+# ----------------------------------------------------------------------
+# what a plane can construct
+# ----------------------------------------------------------------------
+
+PLANES = [("l1", "exact"), ("linf", "exact"), ("l2", "exact"), ("l1", "float"), ("l2", "float"), ("linf", "float"), ("lp:3", "float")]
+INDICES = {"PHI": (0,), "ALPHA": (3,), "BETA": (2,), "PSI": (3, 2), "DELTA": (3,)}
+
+
+def plane_norm(label: str) -> NormSpec:
+    return lp(3) if label == "lp:3" else NormSpec(label)
+
+
+@pytest.mark.parametrize("label,backend", PLANES)
+def test_constructs_is_whether_spheres_meet(label, backend):
+    space = Space(plane_norm(label), backend, 1e-9 if backend == "float" else 0.0)
+    assert space.kernel.constructs == ((label, backend) != ("l2", "exact"))
+    c, d = space.point(0, 0), space.point(3, 1)
+    for radius_c, radius_d in ((3, 3), (5, 2), (F(7, 2), F(1, 2))):
+        assert space.kernel.annulus_ok(c, radius_c, d, radius_d)
+        try:
+            e = sphere_intersection_point(space, c, radius_c, d, radius_d)
+        except ExactBackendRefusedError:
+            e = None
+        assert (e is not None) == space.kernel.constructs
+        assert e is None or (space.length_is(c, e, radius_c) and space.length_is(d, e, radius_d))
+
+
+@pytest.mark.parametrize("label", ["l1", "linf", "l2", "lp:3"])
+def test_verification_space_asks_the_exact_kernel(label):
+    norm = plane_norm(label)
+    exact = None if label == "lp:3" else Space(norm, "exact").kernel  # lp has no exact kernel
+    for name in _SAMPLERS:
+        rel = RelationId(name, INDICES.get(name, ()))
+        want_exact = exact is not None and (exact.constructs or name not in SPHERE_BOUND_LAYERS)
+        assert (verification_space(rel, norm).backend == "exact") == want_exact, rel.label()
+        if exact is None or name not in SPHERE_BOUND_LAYERS:
+            continue
+        if want_exact:  # the exact plane builds the witnesses it was picked for
+            assert verify_layer(Space(norm, "exact"), rel, TruncationParams(), 4, 11).passed
+        else:  # and refuses where the float plane is picked instead
+            with pytest.raises(ExactBackendRefusedError):
+                verify_layer(Space(norm, "exact"), rel, TruncationParams(), 30, 11)
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from equitower import L1, L2, LINF, Point, Space, sphere_intersection_point
-from equitower.geometry import NoIntersectionError, midpoint
+from equitower import L1, L2, LINF, Point, Space, affine_combination, lp, sphere_intersection_point
+from equitower.geometry import NoIntersectionError, midpoint, p_add, p_sub
 from equitower.oracles import (
     ALPHA,
     OracleError,
@@ -210,3 +210,26 @@ class TestOracleInvariants:
                 for e, f in segments[:12]:
                     if oracle_le(S2, a, b, c, d) and oracle_le(S2, c, d, e, f):
                         assert oracle_le(S2, a, b, e, f)
+
+
+class TestFloatCoordinateOracles:
+    """On float planes M, ALPHA, BETA and PARALLELOGRAM compare coordinates
+    one by one under the tolerance.  At |c| ~ 1e6 that admits an offset of
+    1e-4, which the distance-based ``points_eq`` refuses, so the two tests
+    cannot stand in for each other unnoticed."""
+
+    @pytest.mark.parametrize("norm", [L1, L2, LINF, lp(3)], ids=lambda n: n.label())
+    def test_per_coordinate_tolerance_at_large_coordinates(self, norm):
+        space = Space(norm, "float", 1e-9)
+        a, b = Point(1.0e6, 2.0e6), Point(1.0e6 + 8.0, 2.0e6 - 4.0)
+        c = Point(2 * b.x - a.x, 2 * b.y - a.y)
+        far, d = Point(3.0e6, 2.5e6), Point(-3.0e6, 4.0e6)  # far - a is about 1e6 long
+        for offset, want in ((1e-4, True), (1e-2, False)):  # the tolerance is about 1e-9 * 1e6
+            def nudge(p):
+                return Point(p.x + offset, p.y)
+
+            assert not space.points_eq(b, nudge(b))
+            assert oracle_midpoint(space, a, nudge(b), c) is want
+            assert oracle_alpha(space, 3, a, b, nudge(affine_combination(a, b, 3))) is want
+            assert oracle_beta(space, 2, a, b, nudge(affine_combination(a, b, F(1, 4)))) is want
+            assert oracle_parallelogram(space, a, far, nudge(p_add(d, p_sub(far, a))), d) is want
