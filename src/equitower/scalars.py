@@ -328,7 +328,7 @@ class RadSum:
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __float__(self) -> float:
-        return sum(float(t) for t in self.terms)
+        return sum((float(t) for t in self.terms), 0.0)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -1,5 +1,6 @@
+import operator
 import random
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from equitower.scalars import (
     parse_exact,
     sqrt_exact,
 )
+from equitower.kernel import _rational_root as rational_root
 
 
 def test_parse_exact_accepts_ints_and_ratio_strings():
@@ -120,3 +122,119 @@ def test_float_tolerance_is_mixed_absolute_relative():
     assert float_eq(1e9, 1e9 + 0.5, 1e-9)
     assert float_le(2.0, 2.0 - 1e-12, 1e-9)
     assert not float_le(2.0, 1.0, 1e-9)
+
+
+def _dec(x) -> Decimal:
+    """The value of a Rad, a RadSum or a rational to the current Decimal precision."""
+    if isinstance(x, RadSum):
+        return sum((_dec(t) for t in x.terms), Decimal(0))
+    if isinstance(x, Rad):
+        return _dec(x.coeff) * _dec(x.radicand).sqrt()
+    q = Fraction(x)
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def _sign(d: Decimal) -> int:
+    return 0 if abs(d) < Decimal("1e-40") else (1 if d > 0 else -1)
+
+
+def _radical_strategies():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(min_value=0, max_value=40, max_denominator=12)
+    radicands = st.one_of(rationals, rationals.map(lambda q: q * q))  # perfect squares fold
+    rads = st.builds(Rad, rationals, radicands)
+    sides = st.lists(rads, max_size=2).map(tuple)
+    radsums = sides.map(RadSum)
+    numbers = st.one_of(st.integers(-5, 40), st.fractions(min_value=-10, max_value=40, max_denominator=12))
+    return hypothesis, st, rationals, radicands, rads, sides, radsums, numbers
+
+
+def test_hypothesis_radical_sums_match_60_digit_decimals():
+    hypothesis, st, _, _, _, sides, _, _ = _radical_strategies()
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(sides, sides)
+    def run(left, right):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            expected = _sign(sum(map(_dec, left), Decimal(0)) - sum(map(_dec, right), Decimal(0)))
+        assert cmp_radical_sums(left, right) == expected
+        assert cmp_radical_sums(right, left) == -expected
+
+    run()
+
+
+_COMPARISONS = {
+    operator.eq: lambda s: s == 0,
+    operator.ne: lambda s: s != 0,
+    operator.lt: lambda s: s < 0,
+    operator.le: lambda s: s <= 0,
+    operator.gt: lambda s: s > 0,
+    operator.ge: lambda s: s >= 0,
+}
+_REFLECTED = {operator.eq: operator.eq, operator.ne: operator.ne, operator.lt: operator.gt,
+              operator.le: operator.ge, operator.gt: operator.lt, operator.ge: operator.le}
+
+
+def test_hypothesis_comparisons_agree_with_one_sign():
+    hypothesis, st, _, _, rads, _, radsums, numbers = _radical_strategies()
+    radicals = st.one_of(rads, radsums)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(radicals, st.one_of(radicals, numbers))
+    def run(x, y):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            sign = _sign(_dec(x) - _dec(y))
+        for op, holds in _COMPARISONS.items():
+            assert op(x, y) is holds(sign), (op, x, y)
+            assert _REFLECTED[op](y, x) is holds(sign), (op, y, x)
+
+    run()
+
+
+def test_hypothesis_rad_plus_radsum_is_a_type_error():
+    hypothesis, _, _, _, rads, _, radsums, _ = _radical_strategies()
+
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @hypothesis.given(rads, radsums)
+    def run(r, s):
+        with pytest.raises(TypeError):
+            r + s
+        with pytest.raises(TypeError):
+            s + r
+
+    run()
+
+
+def test_hypothesis_rad_folds_exactly_the_rational_roots():
+    hypothesis, _, rationals, radicands, _, _, _, _ = _radical_strategies()
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(rationals, radicands)
+    def run(c, r):
+        rad = Rad(c, r)
+        root = rational_root(r.numerator, r.denominator)
+        if c == 0 or r == 0:
+            assert (rad.coeff, rad.radicand) == (0, 1)
+        elif root is not None:
+            assert rad.is_rational() and rad.as_fraction() == c * root
+        else:
+            assert (rad.coeff, rad.radicand) == (c, r) and not rad.is_rational()
+
+    run()
+
+
+def test_hypothesis_float_is_within_1e12_of_the_value():
+    hypothesis, st, _, _, rads, _, radsums, _ = _radical_strategies()
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.one_of(rads, radsums))
+    def run(x):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = _dec(x)
+            assert abs(Decimal(float(x)) - exact) <= Decimal("1e-12") * exact
+
+    run()
