@@ -13,9 +13,7 @@ from equitower import (
     Point,
     Space,
     distance,
-    equidistant,
     lp,
-    scaled_equidistant,
     sphere_intersection_point,
 )
 
@@ -36,15 +34,15 @@ def main() -> None:
 
     print("\n== the primitive relation: segment ab as long as segment cd ==")
     c, d = Point(F(0), F(5)), Point(F(0), F(0))
-    print(f"  |(0,0)(3,4)| == |(0,5)(0,0)| in l2? {equidistant(euclid, a, b, c, d)}")
+    print(f"  |(0,0)(3,4)| == |(0,5)(0,0)| in l2? {euclid.eq_dist(a, b, c, d)}")
     box = Space(LINF, "exact")
     print(
         "  |(0,0)(2,1)| == |(0,0)(1,2)| in linf?",
-        equidistant(box, Point(F(0), F(0)), Point(F(2), F(1)), Point(F(0), F(0)), Point(F(1), F(2))),
+        box.eq_dist(Point(F(0), F(0)), Point(F(2), F(1)), Point(F(0), F(0)), Point(F(1), F(2))),
     )
     print(
         "  |(0,0)(4,0)| == 2*|(1,1)(3,1)| in l2?",
-        scaled_equidistant(euclid, Point(F(0), F(0)), Point(F(4), F(0)), 2, Point(F(1), F(1)), Point(F(3), F(1))),
+        euclid.eq_dist_scaled(Point(F(0), F(0)), Point(F(4), F(0)), 2, Point(F(1), F(1)), Point(F(3), F(1))),
     )
 
     print("\n== constructing triangle apexes from two sphere radii ==")

@@ -27,12 +27,8 @@ from .geometry import (
     Space,
     affine_combination,
     distance,
-    equidistant,
     lp,
     midpoint,
-    scaled_equidistant,
-    space_from_config,
-    space_to_config,
     sphere_intersection_point,
 )
 from .oracles import RelationId
@@ -67,12 +63,8 @@ __all__ = [
     "Space",
     "affine_combination",
     "distance",
-    "equidistant",
     "lp",
     "midpoint",
-    "scaled_equidistant",
-    "space_from_config",
-    "space_to_config",
     "sphere_intersection_point",
     "RelationId",
     "Rad",

@@ -1,7 +1,7 @@
 """Coordinate plane over p-norms with exact-rational and tolerant-float backends.
 
 The only geometric primitive the definition tower is allowed to consume is
-equidistance (``equidistant``): segment ab is as long as segment cd.  All
+equidistance (``Space.eq_dist``): segment ab is as long as segment cd.  All
 other comparisons offered here (scaled equality, length order, two-leg path
 equality) exist for oracles, witness construction, and axiom checking.
 
@@ -368,18 +368,6 @@ def distance(space: Space, a: Point, b: Point):
     return space.distance(a, b)
 
 
-def equidistant(space: Space, a: Point, b: Point, c: Point, d: Point) -> bool:
-    space.check_point(a), space.check_point(b)
-    space.check_point(c), space.check_point(d)
-    return space.eq_dist(a, b, c, d)
-
-
-def scaled_equidistant(space: Space, a: Point, b: Point, q, c: Point, d: Point) -> bool:
-    space.check_point(a), space.check_point(b)
-    space.check_point(c), space.check_point(d)
-    return space.eq_dist_scaled(a, b, q, c, d)
-
-
 # ----------------------------------------------------------------------
 # sphere intersection
 # ----------------------------------------------------------------------
@@ -555,36 +543,8 @@ def sphere_intersection_point(space: Space, c: Point, radius_c, d: Point, radius
 
 
 # ----------------------------------------------------------------------
-# space/point (de)serialization helpers
+# point (de)serialization helpers
 # ----------------------------------------------------------------------
-
-
-def space_from_config(cfg: dict) -> Space:
-    """Build a Space from ``{"norm": ..., "backend": ..., "tolerance": ...}``."""
-    raw_norm = cfg.get("norm", "l2")
-    if isinstance(raw_norm, dict):
-        if set(raw_norm) != {"lp"}:
-            raise GeometryError(f"bad norm config {raw_norm!r}")
-        norm = lp(Fraction(str(raw_norm["lp"])))
-    elif isinstance(raw_norm, str):
-        name = raw_norm.lower()
-        if name not in ("l1", "l2", "linf"):
-            raise GeometryError(f"bad norm name {raw_norm!r}")
-        norm = NormSpec(name)
-    else:
-        raise GeometryError(f"bad norm config {raw_norm!r}")
-    backend = cfg.get("backend", EXACT)
-    tolerance = float(cfg.get("tolerance", 0.0 if backend == EXACT else 1e-9))
-    return Space(norm, backend, tolerance)
-
-
-def space_to_config(space: Space) -> dict:
-    norm: object
-    if space.norm.kind == "lp":
-        norm = {"lp": format_exact(space.norm.p)}
-    else:
-        norm = space.norm.kind
-    return {"norm": norm, "backend": space.backend, "tolerance": space.tolerance}
 
 
 def point_to_record(space: Space, p: Point) -> dict:

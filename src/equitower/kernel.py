@@ -39,7 +39,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import ScalarError, ceil_sqrt, float_eq, float_le
+from .scalars import ScalarError, ceil_sqrt, float_eq, float_le, rational_root
 
 if TYPE_CHECKING:
     from .geometry import NormSpec, Point
@@ -47,12 +47,6 @@ if TYPE_CHECKING:
 
 # the length of a vector (x, y) in each norm, of integers or of doubles
 _VECTOR_LENGTHS = {"l1": lambda x, y: abs(x) + abs(y), "linf": lambda x, y: max(abs(x), abs(y)), "l2": math.hypot}
-
-
-def _rational_root(n: int, d: int) -> Fraction | None:
-    """sqrt(n/d) for integers n >= 0, d > 0, or None when it is irrational."""
-    root = math.isqrt(n * d)
-    return Fraction(root, d) if root * root == n * d else None
 
 
 def sq_length(a: Point, b: Point) -> tuple[int, int]:
@@ -155,14 +149,14 @@ class ExactKernel:
     def length_value(self, a: Point, b: Point) -> Fraction | None:
         """d(a,b), or None when it is irrational."""
         n, d = self.length(a, b)
-        return _rational_root(n, d) if self.squared else Fraction(n, d)
+        return rational_root(n, d) if self.squared else Fraction(n, d)
 
     def length_ratio(self, a: Point, b: Point, c: Point, d: Point) -> Fraction | None:
         """d(a,b) / d(c,d), or None when it is irrational."""
         n1, d1 = self.length(a, b)
         n2, d2 = self.length(c, d)
         n, d = n1 * d2, d1 * n2
-        return _rational_root(n, d) if self.squared else Fraction(n, d)
+        return rational_root(n, d) if self.squared else Fraction(n, d)
 
     def length_is(self, a: Point, b: Point, value) -> bool:
         """d(a,b) = value for a rational value."""

@@ -86,16 +86,6 @@ class PlaneMap:
             )
         return Point(m[0] * p.x + m[1] * p.y + s[0], m[2] * p.x + m[3] * p.y + s[1])
 
-    def to_config(self) -> dict:
-        if self.kind == "nonlinear":
-            return {"kind": "nonlinear", "family": self.family, "label": self.label}
-        return {
-            "kind": "affine",
-            "matrix": [format_exact(v) for v in self.matrix],
-            "shift": [format_exact(v) for v in self.shift],
-            "label": self.label,
-        }
-
     @staticmethod
     def from_config(cfg: dict) -> "PlaneMap":
         kind = cfg.get("kind", "affine")

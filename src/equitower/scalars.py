@@ -1,10 +1,12 @@
 """Scalar backends: exact rationals (with square-root lengths) and tolerant floats.
 
 The exact backend works in ``fractions.Fraction``.  Euclidean lengths of
-rational points are generally irrational, so they are carried as ``Rad``
-values ``c*sqrt(r)`` with rational ``c >= 0``, ``r >= 0``.  Every comparison
-the predicate layer needs (one radical term against a sum of at most two)
-is decided exactly by repeated squaring; no floating point is involved.
+rational points are generally irrational; ``Space.distance`` on exact l2
+returns them as ``Rad`` values ``c*sqrt(r)`` with rational ``c >= 0``,
+``r >= 0``, and every comparison of a ``Rad`` against a sum of at most two
+is decided exactly by repeated squaring, with no floating point.  The
+predicates themselves never build a ``Rad``: ``kernel`` decides them on
+integers.
 
 The float backend uses doubles with a mixed absolute/relative tolerance
 ``|u - v| <= tol * max(1, |u|, |v|)``.
@@ -57,20 +59,10 @@ def float_le(u: float, v: float, tol: float) -> bool:
     return u <= v + tol * max(1.0, abs(u), abs(v))
 
 
-def is_square(q: Fraction) -> bool:
-    """True when q is the square of a rational."""
-    if q < 0:
-        return False
-    n, d = q.numerator, q.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    return rn * rn == n and rd * rd == d
-
-
-def sqrt_exact(q: Fraction) -> Fraction:
-    """Rational square root of a perfect square."""
-    if not is_square(q):
-        raise ScalarError(f"{q} is not a perfect rational square")
-    return Fraction(isqrt(q.numerator), isqrt(q.denominator))
+def rational_root(n: int, d: int) -> Fraction | None:
+    """sqrt(n/d) for integers n >= 0, d > 0, or None when it is irrational."""
+    root = isqrt(n * d)
+    return Fraction(root, d) if root * root == n * d else None
 
 
 def ceil_sqrt(q: Rational, den: int = 1) -> int:
@@ -140,7 +132,55 @@ def _square_pair(pair: "tuple[Rad, Rad]") -> "tuple[Fraction, Rad]":
     return rational, cross
 
 
-class Rad:
+def _terms(other: object) -> "tuple[Rad, ...] | None":
+    """other as nonnegative radical terms; None for a negative rational, which
+    lies below every radical value."""
+    if isinstance(other, _Radical):
+        return other.terms
+    if isinstance(other, (int, Fraction)):
+        return None if other < 0 else (Rad(other),)
+    return NotImplemented  # type: ignore[return-value]
+
+
+class _Radical:
+    """A nonnegative sum of radical ``terms``, immutable and compared exactly."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _cmp(self, other: object):
+        terms = _terms(other)
+        if terms is NotImplemented:
+            return NotImplemented
+        return 1 if terms is None else cmp_radical_sums(self.terms, terms)
+
+    def __eq__(self, other: object) -> bool:
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c == 0  # type: ignore[return-value]
+
+    def __lt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c < 0
+
+    def __le__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c <= 0
+
+    def __gt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c > 0
+
+    def __ge__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c >= 0
+
+    def __float__(self) -> float:
+        return sum((float(t.coeff) * float(t.radicand) ** 0.5 for t in self.terms), 0.0)
+
+
+class Rad(_Radical):
     """Exact nonnegative value ``coeff * sqrt(radicand)``.
 
     Perfect-square radicands fold into the coefficient, so rational values
@@ -159,13 +199,14 @@ class Rad:
             raise ScalarError("Rad radicand must be nonnegative")
         if c == 0 or r == 0:
             c, r = ZERO, ONE
-        elif is_square(r):
-            c, r = c * sqrt_exact(r), ONE
+        elif (root := rational_root(r.numerator, r.denominator)) is not None:
+            c, r = c * root, ONE
         object.__setattr__(self, "coeff", c)
         object.__setattr__(self, "radicand", r)
 
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("Rad is immutable")
+    @property
+    def terms(self) -> "tuple[Rad]":
+        return (self,)
 
     def squared(self) -> Fraction:
         return self.coeff * self.coeff * self.radicand
@@ -185,57 +226,16 @@ class Rad:
     def sqrt(q: Rational) -> "Rad":
         return Rad(1, Fraction(q))
 
-    def _coerce(self, other: object) -> "Rad | None":
-        if isinstance(other, Rad):
-            return other
-        if isinstance(other, (int, Fraction)):
-            if other < 0:
-                return None  # nonnegative self always exceeds a negative rational
-            return Rad(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def _cmp(self, other: object) -> "int | None":
-        if isinstance(other, RadSum):
-            return cmp_radical_sums((self,), other.terms)
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented  # type: ignore[return-value]
-        if o is None:
-            return 1
-        return cmp_radical_sums((self,), (o,))
-
-    def __eq__(self, other: object) -> bool:
-        c = self._cmp(other)
-        if c is NotImplemented:
-            return NotImplemented  # type: ignore[return-value]
-        return c == 0
-
     def __hash__(self) -> int:
         if self.is_rational():
             return hash(self.coeff)
         return hash((self.coeff, self.radicand))
 
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented or o is None:
+        terms = _terms(other)
+        if isinstance(other, RadSum) or terms is None or terms is NotImplemented:
             return NotImplemented
-        return RadSum((self, o)).collapse()
+        return RadSum((self,) + terms).collapse()
 
     __radd__ = __add__
 
@@ -250,9 +250,6 @@ class Rad:
 
     __rmul__ = __mul__
 
-    def __float__(self) -> float:
-        return float(self.coeff) * float(self.radicand) ** 0.5
-
     def __repr__(self) -> str:
         if self.is_rational():
             return format_exact(self.coeff)
@@ -261,7 +258,7 @@ class Rad:
         return f"{format_exact(self.coeff)}*sqrt({format_exact(self.radicand)})"
 
 
-class RadSum:
+class RadSum(_Radical):
     """Sum of at most two Rad terms; comparisons stay exact."""
 
     __slots__ = ("terms",)
@@ -271,9 +268,6 @@ class RadSum:
         if len(live) > 2:
             raise ScalarError("RadSum holds at most two radical terms")
         object.__setattr__(self, "terms", live)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RadSum is immutable")
 
     def collapse(self) -> "Rad | RadSum":
         if not self.terms:
@@ -285,50 +279,8 @@ class RadSum:
             return Rad(a.coeff + b.coeff, a.radicand)
         return self
 
-    def _other_terms(self, other: object) -> "tuple[Rad, ...] | None":
-        if isinstance(other, RadSum):
-            return other.terms
-        if isinstance(other, Rad):
-            return (other,)
-        if isinstance(other, (int, Fraction)):
-            if other < 0:
-                return None
-            return (Rad(other),)
-        return NotImplemented  # type: ignore[return-value]
-
-    def _cmp(self, other: object):
-        terms = self._other_terms(other)
-        if terms is NotImplemented:
-            return NotImplemented
-        if terms is None:
-            return 1
-        return cmp_radical_sums(self.terms, terms)
-
-    def __eq__(self, other: object) -> bool:
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0  # type: ignore[return-value]
-
     def __hash__(self) -> int:
         return hash(frozenset((t.coeff, t.radicand) for t in self.terms))
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
-
-    def __float__(self) -> float:
-        return sum((float(t) for t in self.terms), 0.0)
 
     def __repr__(self) -> str:
         if not self.terms:

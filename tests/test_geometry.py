@@ -17,12 +17,8 @@ from equitower import (
     Space,
     affine_combination,
     distance,
-    equidistant,
     lp,
     midpoint,
-    scaled_equidistant,
-    space_from_config,
-    space_to_config,
     sphere_intersection_point,
 )
 from equitower.geometry import point_from_record, point_to_record, sphere_meets
@@ -124,17 +120,17 @@ class TestDistance:
 class TestPredicates:
     def test_equidistant_examples(self):
         s2 = Space(L2, "exact")
-        assert equidistant(s2, pt(0, 0), pt(0, 5), pt(3, 4), pt(0, 0))
-        assert equidistant(Space(LINF, "exact"), pt(0, 0), pt(2, 1), pt(0, 0), pt(1, 2))
+        assert s2.eq_dist(pt(0, 0), pt(0, 5), pt(3, 4), pt(0, 0))
+        assert Space(LINF, "exact").eq_dist(pt(0, 0), pt(2, 1), pt(0, 0), pt(1, 2))
         for space in EXACT_SPACES:
-            assert equidistant(space, pt(7, 7), pt(7, 7), pt(-2, 3), pt(-2, 3))
+            assert space.eq_dist(pt(7, 7), pt(7, 7), pt(-2, 3), pt(-2, 3))
 
     def test_scaled_equidistant_examples(self):
-        assert scaled_equidistant(Space(L2, "exact"), pt(0, 0), pt(4, 0), 2, pt(1, 1), pt(3, 1))
-        assert scaled_equidistant(Space(L2, "exact"), pt(5, 5), pt(5, 5), 0, pt(1, 1), pt(3, 1))
-        assert scaled_equidistant(Space(L1, "exact"), pt(0, 0), pt(1, 0), F(1, 2), pt(0, 0), pt(1, 1))
+        assert Space(L2, "exact").eq_dist_scaled(pt(0, 0), pt(4, 0), 2, pt(1, 1), pt(3, 1))
+        assert Space(L2, "exact").eq_dist_scaled(pt(5, 5), pt(5, 5), 0, pt(1, 1), pt(3, 1))
+        assert Space(L1, "exact").eq_dist_scaled(pt(0, 0), pt(1, 0), F(1, 2), pt(0, 0), pt(1, 1))
         with pytest.raises(GeometryError):
-            scaled_equidistant(Space(L1, "exact"), pt(0, 0), pt(1, 0), -1, pt(0, 0), pt(1, 1))
+            Space(L1, "exact").eq_dist_scaled(pt(0, 0), pt(1, 0), -1, pt(0, 0), pt(1, 1))
 
     def test_affine_combination_endpoints_and_extension(self):
         a, b = pt(0, 0), pt(1, 0)
@@ -295,17 +291,6 @@ class TestSpaceConfig:
     def test_non_finite_tolerances_are_refused(self, bad):
         with pytest.raises(GeometryError, match="finite"):
             Space(L2, "float", bad)
-        with pytest.raises(GeometryError, match="finite"):
-            space_from_config({"norm": "l1", "backend": "float", "tolerance": str(bad)})
-
-    def test_config_round_trip(self):
-        for cfg in (
-            {"norm": "l1", "backend": "exact", "tolerance": 0},
-            {"norm": {"lp": "3/2"}, "backend": "float", "tolerance": 1e-9},
-        ):
-            space = space_from_config(cfg)
-            again = space_from_config(space_to_config(space))
-            assert again == space
 
     def test_point_records(self):
         exact = Space(L2, "exact")

@@ -25,7 +25,6 @@ from equitower import (
     Space,
     affine_combination,
     lp,
-    space_to_config,
     sphere_intersection_point,
 )
 from equitower.closure import SPHERE_BOUND_LAYERS
@@ -308,7 +307,6 @@ def test_kernel_is_not_part_of_space_identity():
     a, b = Space(NormSpec("l2"), "exact"), Space(NormSpec("l2"), "exact")
     assert a == b and hash(a) == hash(b)
     assert repr(a) == "Space(norm=NormSpec(kind='l2', p=None), backend='exact', tolerance=0.0)"
-    assert space_to_config(a) == {"norm": "l2", "backend": "exact", "tolerance": 0.0}
     assert a != Space(NormSpec("l1"), "exact")
 
 

@@ -54,10 +54,14 @@ class TestMapAlgebra:
         with pytest.raises(MapError):
             PlaneMap("nonlinear", family="nope")
 
-    def test_config_round_trip(self):
-        for m in (SHEAR_X, CUBIC_X, similarity(F(1, 2), isometry_generators(S2)[1], (3, -2))):
-            again = PlaneMap.from_config(m.to_config())
-            assert again == m
+    def test_from_config_builds_the_map(self):
+        rotate = similarity(F(1, 2), isometry_generators(S2)[1], (3, -2))
+        for cfg, m in (
+            ({"kind": "affine", "matrix": ["1", "1", "0", "1"], "shift": ["0", "0"], "label": "shear(x+y,y)"}, SHEAR_X),
+            ({"kind": "nonlinear", "family": "cubic_x", "label": "cubic(x^3,y)"}, CUBIC_X),
+            ({"matrix": ["3/10", "-2/5", "2/5", "0.3"], "shift": [3, "-2"], "label": "similarity(scale=1/2)"}, rotate),
+        ):
+            assert PlaneMap.from_config(cfg) == m
 
     def test_composition_is_exact(self):
         suite = similarity_suite(S2)

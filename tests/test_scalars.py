@@ -14,11 +14,9 @@ from equitower.scalars import (
     float_eq,
     float_le,
     format_exact,
-    is_square,
     parse_exact,
-    sqrt_exact,
+    rational_root,
 )
-from equitower.kernel import _rational_root as rational_root
 
 
 def test_parse_exact_accepts_ints_and_ratio_strings():
@@ -35,13 +33,12 @@ def test_parse_exact_rejects_junk(bad):
         parse_exact(bad)
 
 
-def test_square_detection_and_exact_roots():
-    assert is_square(Fraction(9, 4))
-    assert not is_square(Fraction(2))
-    assert not is_square(Fraction(-4))
-    assert sqrt_exact(Fraction(9, 4)) == Fraction(3, 2)
-    with pytest.raises(ScalarError):
-        sqrt_exact(Fraction(2))
+def test_rational_root_finds_exactly_the_rational_roots():
+    assert rational_root(9, 4) == Fraction(3, 2)
+    assert rational_root(18, 8) == Fraction(3, 2)  # n/d need not be in lowest terms
+    assert rational_root(0, 5) == 0
+    assert rational_root(2, 1) is None
+    assert rational_root(9, 2) is None
 
 
 def test_ceil_sqrt_is_exact_near_perfect_squares():
