@@ -102,7 +102,13 @@ def _load_points(space: Space, path: str):
     records = read_json(path)
     if not isinstance(records, list):
         raise GeometryError(f"points file {path} must hold a JSON list of records")
-    return [point_from_record(space, rec) for rec in records]
+    points = []
+    for i, rec in enumerate(records):
+        try:
+            points.append(point_from_record(space, rec))
+        except (GeometryError, ValueError) as exc:
+            raise GeometryError(f"points file {path}, record {i}: {exc}") from exc
+    return points
 
 
 def _emit(args, payload) -> None:

@@ -192,6 +192,16 @@ def lp(p: Fraction | int | str) -> NormSpec:
 # ----------------------------------------------------------------------
 
 
+def _float_coord(c) -> float:
+    """A float coordinate; a "p/q" string is read exactly and rounded once."""
+    if isinstance(c, str) and "/" in c:
+        q = parse_exact(c)
+        return float(q) if abs(q) <= _FLOAT_COORD_MAX else (math.inf if q > 0 else -math.inf)
+    if not isinstance(c, (int, float, str, Fraction)):
+        raise GeometryError(f"a float coordinate is a number or a numeric string, got {c!r}")
+    return float(c)
+
+
 def _ratio(q) -> tuple[int, int]:
     """A rational as integers (num, den) with den > 0."""
     if not isinstance(q, (int, Fraction)):
@@ -249,7 +259,7 @@ class Space:
     def point(self, x, y) -> Point:
         if self.backend == EXACT:
             return Point(parse_exact(x), parse_exact(y))
-        p = Point(float(x), float(y))
+        p = Point(_float_coord(x), _float_coord(y))
         if not (abs(p.x) <= _FLOAT_COORD_MAX and abs(p.y) <= _FLOAT_COORD_MAX):  # nan fails too
             raise GeometryError(f"float coordinates must be finite, |c| <= {_FLOAT_COORD_MAX:.3g}, got ({p.x}, {p.y})")
         return p

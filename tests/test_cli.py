@@ -543,6 +543,44 @@ class TestHostilePoints:
         _assert_one_line_error(capsys, "overflows")
 
 
+class TestFloatPointFiles:
+    """A float plane reads the exact "p/q" strings an exact point file holds."""
+
+    def _closure(self, tmp_path, capsys, name, records):
+        points = tmp_path / name
+        points.write_text(json.dumps(records))
+        argv = ["closure", "--relation", "M", "--points", str(points), "--norm", "l2", "--backend", "float"]
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    def test_ratio_strings_give_the_universe_of_their_decimals(self, tmp_path, capsys):
+        ratios = [{"x": "1/4", "y": "-3/8"}, {"x": 0, "y": "2"}, {"x": "5/2", "y": 1}]
+        decimals = [{"x": 0.25, "y": -0.375}, {"x": 0, "y": 2}, {"x": 2.5, "y": 1}]
+        code, ratio_out = self._closure(tmp_path, capsys, "ratios.json", ratios)
+        assert code == 0 and ratio_out.err == ""
+        code, decimal_out = self._closure(tmp_path, capsys, "decimals.json", decimals)
+        assert code == 0 and ratio_out.out == decimal_out.out
+
+    def test_a_third_is_rounded_once(self, tmp_path, capsys):
+        code, out = self._closure(tmp_path, capsys, "third.json", [{"x": "1/3", "y": "2"}, {"x": 0, "y": 0}, {"x": 1, "y": 1}])
+        assert code == 0
+        assert json.loads(out.out)[0] == {"tag": "input", "x": 1 / 3, "y": 2.0}
+
+    @pytest.mark.parametrize("bad", ["inf", "-1e400", "1" + "0" * 400 + "/3"], ids=["inf", "-1e400", "10^400/3"])
+    def test_non_finite_coordinates_are_still_refused(self, tmp_path, capsys, bad):
+        code, out = self._closure(tmp_path, capsys, "pts.json", [{"x": 0, "y": 0}, {"x": bad, "y": 0}, {"x": 1, "y": 1}])
+        assert code == 2
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1, out.err
+        assert "pts.json, record 1:" in out.err and "finite" in out.err
+
+    @pytest.mark.parametrize("bad", [None, [1], "1/0", "x"], ids=["null", "list", "1/0", "x"])
+    def test_a_bad_record_is_named(self, tmp_path, capsys, bad):
+        code, out = self._closure(tmp_path, capsys, "pts.json", [{"x": 0, "y": 0}, {"x": 1, "y": 1}, {"x": 2, "y": bad}])
+        assert code == 2
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1, out.err
+        assert "pts.json, record 2:" in out.err and "Traceback" not in out.err
+
+
 class TestChainCap:
     def test_cap_reaches_axiom_i_inside_the_suite(self, tmp_path):
         suite, single = tmp_path / "all.json", tmp_path / "i.json"
