@@ -14,6 +14,7 @@ The float backend uses doubles with a mixed absolute/relative tolerance
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import isqrt
 from typing import Union
@@ -77,11 +78,7 @@ def ceil_sqrt(q: Rational, den: int = 1) -> int:
 
 
 def _cmp_frac(a: Fraction, b: Fraction) -> int:
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
+    return (a > b) - (a < b)
 
 
 def cmp_radical_sums(left: "tuple[Rad, ...]", right: "tuple[Rad, ...]") -> int:
@@ -142,6 +139,16 @@ def _terms(other: object) -> "tuple[Rad, ...] | None":
     return NotImplemented  # type: ignore[return-value]
 
 
+def _compare(test):
+    """A rich comparison of radicals: test(sign of self - other, 0)."""
+
+    def method(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else test(c, 0)
+
+    return method
+
+
 class _Radical:
     """A nonnegative sum of radical ``terms``, immutable and compared exactly."""
 
@@ -156,25 +163,8 @@ class _Radical:
             return NotImplemented
         return 1 if terms is None else cmp_radical_sums(self.terms, terms)
 
-    def __eq__(self, other: object) -> bool:
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0  # type: ignore[return-value]
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
+    __eq__, __lt__, __le__ = _compare(operator.eq), _compare(operator.lt), _compare(operator.le)
+    __gt__, __ge__ = _compare(operator.gt), _compare(operator.ge)
 
     def __float__(self) -> float:
         return sum((float(t.coeff) * float(t.radicand) ** 0.5 for t in self.terms), 0.0)
@@ -227,9 +217,7 @@ class Rad(_Radical):
         return Rad(1, Fraction(q))
 
     def __hash__(self) -> int:
-        if self.is_rational():
-            return hash(self.coeff)
-        return hash((self.coeff, self.radicand))
+        return hash(self.coeff) if self.is_rational() else hash((self.coeff, self.radicand))
 
     def __add__(self, other):
         terms = _terms(other)

@@ -139,8 +139,9 @@ def _radical_strategies():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     rationals = st.fractions(min_value=0, max_value=40, max_denominator=12)
-    radicands = st.one_of(rationals, rationals.map(lambda q: q * q))  # perfect squares fold
-    rads = st.builds(Rad, rationals, radicands)
+    # perfect squares fold; radicands of one square class make equal sums, as sqrt(2) + sqrt(8) = sqrt(18)
+    radicands = st.one_of(rationals, rationals.map(lambda q: q * q), st.sampled_from((2, 8, 18, 32, 3, 12, 27)))
+    rads = st.builds(Rad, st.one_of(rationals, st.integers(0, 3)), radicands)
     sides = st.lists(rads, max_size=2).map(tuple)
     radsums = sides.map(RadSum)
     numbers = st.one_of(st.integers(-5, 40), st.fractions(min_value=-10, max_value=40, max_denominator=12))
@@ -158,6 +159,25 @@ def test_hypothesis_radical_sums_match_60_digit_decimals():
             expected = _sign(sum(map(_dec, left), Decimal(0)) - sum(map(_dec, right), Decimal(0)))
         assert cmp_radical_sums(left, right) == expected
         assert cmp_radical_sums(right, left) == -expected
+
+    run()
+
+
+def test_hypothesis_equal_sums_written_two_ways_compare_equal():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.integers(0, 6)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(small, small, small, small, st.sampled_from((2, 3, 5, 6, 7)), st.integers(1, 9))
+    def run(c1, k1, c2, k2, r, s):
+        # c1*sqrt(k1^2 r) + c2*sqrt(k2^2 r) = (c1 k1)*sqrt(r) + (c2 k2)*sqrt(r) = (c1 k1 + c2 k2)*sqrt(r)
+        left = (Rad(c1, k1 * k1 * r), Rad(c2, k2 * k2 * r))
+        for right in ((Rad(c1 * k1 + c2 * k2, r),), (Rad(c1 * k1, r), Rad(c2 * k2, r))):
+            assert cmp_radical_sums(left, right) == 0 == cmp_radical_sums(right, left)
+        # a rational shift breaks the tie on the side it is added to
+        shifted = left[:1] + (Rad(Fraction(1, s)),)
+        assert cmp_radical_sums(shifted, (left[0],)) == 1
 
     run()
 
