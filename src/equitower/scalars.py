@@ -78,7 +78,11 @@ def ceil_sqrt(q: Rational, den: int = 1) -> int:
 
 
 def _cmp_frac(a: Fraction, b: Fraction) -> int:
-    return (a > b) - (a < b)
+    if a < b:
+        return -1
+    if a > b:
+        return 1
+    return 0
 
 
 def cmp_radical_sums(left: "tuple[Rad, ...]", right: "tuple[Rad, ...]") -> int:
@@ -130,8 +134,8 @@ def _square_pair(pair: "tuple[Rad, Rad]") -> "tuple[Fraction, Rad]":
 
 
 def _terms(other: object) -> "tuple[Rad, ...] | None":
-    """other as nonnegative radical terms; None for a negative rational, which
-    lies below every radical value."""
+    """other as nonnegative radical terms: None for a negative rational, which
+    lies below every radical value, and NotImplemented for any other type."""
     if isinstance(other, _Radical):
         return other.terms
     if isinstance(other, (int, Fraction)):
@@ -217,7 +221,9 @@ class Rad(_Radical):
         return Rad(1, Fraction(q))
 
     def __hash__(self) -> int:
-        return hash(self.coeff) if self.is_rational() else hash((self.coeff, self.radicand))
+        if self.is_rational():
+            return hash(self.coeff)
+        return hash((self.coeff, self.radicand))
 
     def __add__(self, other):
         terms = _terms(other)
