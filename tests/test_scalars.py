@@ -2,6 +2,7 @@ import operator
 import random
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -145,14 +146,16 @@ def _radical_strategies():
     sides = st.lists(rads, max_size=2).map(tuple)
     radsums = sides.map(RadSum)
     numbers = st.one_of(st.integers(-5, 40), st.fractions(min_value=-10, max_value=40, max_denominator=12))
-    return hypothesis, st, rationals, radicands, rads, sides, radsums, numbers
+    return hypothesis, SimpleNamespace(
+        rationals=rationals, radicands=radicands, rads=rads, sides=sides, radsums=radsums, numbers=numbers
+    )
 
 
 def test_hypothesis_radical_sums_match_60_digit_decimals():
-    hypothesis, st, _, _, _, sides, _, _ = _radical_strategies()
+    hypothesis, draw = _radical_strategies()
 
     @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(sides, sides)
+    @hypothesis.given(draw.sides, draw.sides)
     def run(left, right):
         with localcontext() as ctx:
             ctx.prec = 60
@@ -195,11 +198,11 @@ _REFLECTED = {operator.eq: operator.eq, operator.ne: operator.ne, operator.lt: o
 
 
 def test_hypothesis_comparisons_agree_with_one_sign():
-    hypothesis, st, _, _, rads, _, radsums, numbers = _radical_strategies()
-    radicals = st.one_of(rads, radsums)
+    hypothesis, draw = _radical_strategies()
+    radicals = hypothesis.strategies.one_of(draw.rads, draw.radsums)
 
     @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(radicals, st.one_of(radicals, numbers))
+    @hypothesis.given(radicals, hypothesis.strategies.one_of(radicals, draw.numbers))
     def run(x, y):
         with localcontext() as ctx:
             ctx.prec = 60
@@ -212,10 +215,10 @@ def test_hypothesis_comparisons_agree_with_one_sign():
 
 
 def test_hypothesis_rad_plus_radsum_is_a_type_error():
-    hypothesis, _, _, _, rads, _, radsums, _ = _radical_strategies()
+    hypothesis, draw = _radical_strategies()
 
     @hypothesis.settings(max_examples=50, deadline=None)
-    @hypothesis.given(rads, radsums)
+    @hypothesis.given(draw.rads, draw.radsums)
     def run(r, s):
         with pytest.raises(TypeError):
             r + s
@@ -226,10 +229,10 @@ def test_hypothesis_rad_plus_radsum_is_a_type_error():
 
 
 def test_hypothesis_rad_folds_exactly_the_rational_roots():
-    hypothesis, _, rationals, radicands, _, _, _, _ = _radical_strategies()
+    hypothesis, draw = _radical_strategies()
 
     @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(rationals, radicands)
+    @hypothesis.given(draw.rationals, draw.radicands)
     def run(c, r):
         rad = Rad(c, r)
         root = rational_root(r.numerator, r.denominator)
@@ -244,10 +247,10 @@ def test_hypothesis_rad_folds_exactly_the_rational_roots():
 
 
 def test_hypothesis_float_is_within_1e12_of_the_value():
-    hypothesis, st, _, _, rads, _, radsums, _ = _radical_strategies()
+    hypothesis, draw = _radical_strategies()
 
     @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(st.one_of(rads, radsums))
+    @hypothesis.given(hypothesis.strategies.one_of(draw.rads, draw.radsums))
     def run(x):
         with localcontext() as ctx:
             ctx.prec = 60
