@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -42,8 +42,8 @@ from .preservation import (
     similarity_suite,
 )
 from .reports import read_json, stable_json_dumps, write_report
-from .scalars import ScalarError
-from .universe import Universe
+from .scalars import ScalarError, parse_exact
+from .universe import TAG_INPUT, Universe
 
 USER_ERRORS = (
     ParseError,
@@ -77,7 +77,7 @@ def _add_trunc_flags(parser: argparse.ArgumentParser) -> None:
 def _space_from_args(args) -> Space:
     name = args.norm.lower()
     if name.startswith("lp:"):
-        norm = lp(Fraction(name[3:]))
+        norm = lp(parse_exact(name[3:]))
     elif name in ("l1", "l2", "linf"):
         norm = NormSpec(name)
     else:
@@ -98,17 +98,32 @@ def _trunc_from_args(args) -> TruncationParams:
     )
 
 
-def _load_points(space: Space, path: str):
+def _read_records(path: str, what: str, parse) -> list:
+    """``parse`` of each record in a file holding a JSON list of objects;
+    a refusal names the file and the record."""
     records = read_json(path)
     if not isinstance(records, list):
-        raise GeometryError(f"points file {path} must hold a JSON list of records")
-    points = []
+        raise GeometryError(f"{what} file {path} must hold a JSON list of records")
+    parsed = []
     for i, rec in enumerate(records):
         try:
-            points.append(point_from_record(space, rec))
+            if not isinstance(rec, dict):
+                raise GeometryError(f"a record is a JSON object, got {rec!r}")
+            parsed.append(parse(rec))
         except (GeometryError, ValueError) as exc:
-            raise GeometryError(f"points file {path}, record {i}: {exc}") from exc
-    return points
+            raise GeometryError(f"{what} file {path}, record {i}: {exc}") from exc
+    return parsed
+
+
+def _load_points(space: Space, path: str):
+    return _read_records(path, "points", lambda rec: point_from_record(space, rec))
+
+
+def _universe_record(space: Space, rec: dict) -> tuple:
+    tag = rec.get("tag", TAG_INPUT)
+    if not isinstance(tag, str):
+        raise GeometryError(f"a provenance tag is a string, got {tag!r}")
+    return point_from_record(space, rec), tag
 
 
 def _emit(args, payload) -> None:
@@ -156,7 +171,8 @@ def cmd_eval(args) -> int:
         else:
             universe = close_midpoints(space, points, depth=2) if points else Universe(space, [])
     else:
-        universe = Universe.from_records(space, read_json(args.universe))
+        records = _read_records(args.universe, "universe", lambda rec: _universe_record(space, rec))
+        universe = Universe(space, [p for p, _ in records], [tag for _, tag in records])
     verdict = eval_formula(formula, space, universe, valuation, trunc, impl)
     print("true" if verdict else "false")
     if args.explain:
@@ -234,9 +250,9 @@ def _default_map_suite(space: Space) -> tuple[list[PlaneMap], dict[str, str]]:
 def cmd_vogt(args) -> int:
     space = _space_from_args(args)
     if args.maps:
-        configs = read_json(args.maps)
-        maps = [PlaneMap.from_config(c) for c in configs]
-        expectations = {PlaneMap.from_config(c).label: c["expect"] for c in configs if "expect" in c}
+        configs = _read_records(args.maps, "maps", lambda cfg: (PlaneMap.from_config(cfg), cfg))
+        maps = [m for m, _ in configs]
+        expectations = {m.label: cfg["expect"] for m, cfg in configs if "expect" in cfg}
     else:
         maps, expectations = _default_map_suite(space)
     summary = run_experiment(space, maps, args.quadruples, args.triples, args.seed, expectations)
@@ -338,6 +354,10 @@ def main(argv=None) -> int:
         limit = sys.getrecursionlimit()
         print(f"error: input nested too deeply (past the recursion limit of {limit} frames)", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input: exit 1 would read as "false"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -161,14 +161,13 @@ def _equiv2_witness_round(space: Space, uni: Universe, a, b, c, d) -> list[Point
         for y in uni.points:
             if not space.eq_dist(y, a, y, x):
                 continue
+            # mid(c, d) starts in the universe, so this answers every half-length xy
             if any(space.eq_dist(z, c, x, y) and space.eq_dist(z, d, x, y) for z in uni.points):
                 continue
             if space.points_eq(x, y) or not space.le_dist_scaled(c, d, 2, x, y):
                 return []  # no z exists anywhere in the plane: sound refutation
             if cd_degenerate:
                 fresh.append(p_add(c, p_sub(y, x)))
-            elif space.eq_dist_scaled(x, y, Fraction(1, 2), c, d):
-                fresh.append(midpoint(c, d))
             else:
                 radius = space.length_value(x, y)
                 fresh.append(_pick_witness(sphere_meets(space, c, radius, d, radius), breeds))

@@ -10,7 +10,7 @@ evaluable under truncation bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
 
@@ -125,6 +125,22 @@ def disj(*items: Formula) -> Formula:
     return flat[0] if len(flat) == 1 else Or(flat)
 
 
+# node class -> DSL head; a form prints as ``(head extras... children...)``
+_HEADS = {AtomEqui: "equi", AtomEq: "=", Not: "not", And: "and", Or: "or", Implies: "implies", Exists: "exists",
+          ForAll: "forall", CountableAnd: "bigand", CountableOr: "bigor", SchemaRef: "rel"}
+FORMS = {head: cls for cls, head in _HEADS.items()}
+_PARTS = (Var, Const, *_HEADS)
+
+
+def children(node: Formula) -> tuple:
+    """The node's terms and subformulas, in dataclass field order."""
+    if type(node) not in _HEADS:
+        raise TypeError(f"not a formula node: {node!r}")
+    values = [getattr(node, f.name) for f in fields(node)]
+    flat = [v for value in values for v in (value if isinstance(value, tuple) else (value,))]
+    return tuple(v for v in flat if isinstance(v, _PARTS))
+
+
 def _term_text(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
@@ -134,78 +150,36 @@ def _term_text(t: Term) -> str:
     return f"(pt {fx} {fy})"
 
 
+def _extras(f: Formula) -> list[str]:
+    """What a form prints between its head and its children."""
+    if isinstance(f, (Exists, ForAll)):
+        return [f"({' '.join(f.vars)})"]
+    if isinstance(f, (CountableAnd, CountableOr)):
+        return [f.var] if f.start == 1 else [f.var, str(f.start)]
+    if isinstance(f, SchemaRef):
+        return [f.name, *map(str, f.index_args)]
+    return []
+
+
 def format_formula(f: Formula) -> str:
     """Canonical s-expression text; ``parse_formula`` inverts it exactly."""
-    if isinstance(f, AtomEqui):
-        return f"(equi {_term_text(f.t1)} {_term_text(f.t2)} {_term_text(f.t3)} {_term_text(f.t4)})"
-    if isinstance(f, AtomEq):
-        return f"(= {_term_text(f.t1)} {_term_text(f.t2)})"
-    if isinstance(f, Not):
-        return f"(not {format_formula(f.body)})"
-    if isinstance(f, And):
-        inner = " ".join(format_formula(g) for g in f.items)
-        return f"(and {inner})" if inner else "(and)"
-    if isinstance(f, Or):
-        inner = " ".join(format_formula(g) for g in f.items)
-        return f"(or {inner})" if inner else "(or)"
-    if isinstance(f, Implies):
-        return f"(implies {format_formula(f.left)} {format_formula(f.right)})"
-    if isinstance(f, Exists):
-        return f"(exists ({' '.join(f.vars)}) {format_formula(f.body)})"
-    if isinstance(f, ForAll):
-        return f"(forall ({' '.join(f.vars)}) {format_formula(f.body)})"
-    if isinstance(f, CountableAnd):
-        if f.start == 1:
-            return f"(bigand {f.var} {format_formula(f.body)})"
-        return f"(bigand {f.var} {f.start} {format_formula(f.body)})"
-    if isinstance(f, CountableOr):
-        if f.start == 1:
-            return f"(bigor {f.var} {format_formula(f.body)})"
-        return f"(bigor {f.var} {f.start} {format_formula(f.body)})"
-    if isinstance(f, SchemaRef):
-        parts = [f.name]
-        parts.extend(str(i) for i in f.index_args)
-        parts.extend(_term_text(t) for t in f.terms)
-        return f"(rel {' '.join(parts)})"
-    raise TypeError(f"not a formula node: {f!r}")
+    kids = []
+    for g in children(f):  # a loop, not a comprehension: one frame per level of nesting
+        kids.append(_term_text(g) if isinstance(g, (Var, Const)) else format_formula(g))
+    return f"({' '.join([_HEADS[type(f)], *_extras(f), *kids])})"
 
 
 def free_point_vars(f: Formula) -> list[str]:
     """Free point variables, in order of first appearance."""
     seen: list[str] = []
-
-    def note(name: str, bound: frozenset[str]) -> None:
-        if name not in bound and name not in seen:
-            seen.append(name)
-
-    def walk_term(t: Term, bound: frozenset[str]) -> None:
-        if isinstance(t, Var):
-            note(t.name, bound)
-
-    def walk(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, AtomEqui):
-            for t in (g.t1, g.t2, g.t3, g.t4):
-                walk_term(t, bound)
-        elif isinstance(g, AtomEq):
-            walk_term(g.t1, bound)
-            walk_term(g.t2, bound)
-        elif isinstance(g, Not):
-            walk(g.body, bound)
-        elif isinstance(g, (And, Or)):
-            for item in g.items:
-                walk(item, bound)
-        elif isinstance(g, Implies):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, (Exists, ForAll)):
-            walk(g.body, bound | frozenset(g.vars))
-        elif isinstance(g, (CountableAnd, CountableOr)):
-            walk(g.body, bound)  # the countable index is not a point variable
-        elif isinstance(g, SchemaRef):
-            for t in g.terms:
-                walk_term(t, bound)
-        else:
-            raise TypeError(f"not a formula node: {g!r}")
-
-    walk(f, frozenset())
+    stack = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
+        if isinstance(g, Var):
+            if g.name not in bound and g.name not in seen:
+                seen.append(g.name)
+        elif not isinstance(g, Const):
+            if isinstance(g, (Exists, ForAll)):
+                bound |= frozenset(g.vars)  # a countable's index is not a point variable
+            stack.extend((child, bound) for child in reversed(children(g)))
     return seen

@@ -55,6 +55,7 @@ from .ast import (
     SchemaRef,
     Term,
     Var,
+    children,
     free_point_vars,
 )
 from .schemas import TruncationParams, expand_schema, schema_params
@@ -269,10 +270,9 @@ def _plan(root: Exists | ForAll) -> None:
             names = tuple(free_point_vars(g))
             object.__setattr__(g, "memo_names", names if outer.difference(names) else None)  # frozen node
             outer |= frozenset(g.vars)
-        for value in vars(g).values():
-            for child in value if isinstance(value, tuple) else (value,):
-                if type(child) in _STEPS:
-                    walk(child, outer)
+        for child in children(g):
+            if type(child) in _STEPS:
+                walk(child, outer)
 
     walk(root, frozenset())
 

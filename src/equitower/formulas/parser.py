@@ -15,11 +15,13 @@ Errors carry 1-based line and column of the offending token.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 
 from ..geometry import Point
 from ..oracles import RELATIONS
 from .ast import (
+    FORMS,
     And,
     AtomEq,
     AtomEqui,
@@ -37,10 +39,7 @@ from .ast import (
     Var,
 )
 
-RESERVED = {
-    "equi", "=", "and", "or", "not", "implies",
-    "exists", "forall", "bigand", "bigor", "rel", "pt",
-}
+RESERVED = {*FORMS, "pt"}
 
 
 class ParseError(ValueError):
@@ -179,46 +178,26 @@ def _parse_formula(node: _Node) -> Formula:
     head = head_node.atom.text
     rest = items[1:]
 
-    if head == "equi":
-        if len(rest) != 4:
-            raise ParseError("(equi ...) takes four terms", node.line, node.column)
-        t1, t2, t3, t4 = (_parse_term(r) for r in rest)
-        return AtomEqui(t1, t2, t3, t4)
-    if head == "=":
-        if len(rest) != 2:
-            raise ParseError("(= ...) takes two terms", node.line, node.column)
-        return AtomEq(_parse_term(rest[0]), _parse_term(rest[1]))
-    if head == "not":
-        if len(rest) != 1:
-            raise ParseError("(not ...) takes one formula", node.line, node.column)
-        return Not(_parse_formula(rest[0]))
-    if head == "and":
-        return And(tuple(_parse_formula(r) for r in rest))
-    if head == "or":
-        return Or(tuple(_parse_formula(r) for r in rest))
-    if head == "implies":
-        if len(rest) != 2:
-            raise ParseError("(implies ...) takes two formulas", node.line, node.column)
-        return Implies(_parse_formula(rest[0]), _parse_formula(rest[1]))
-    if head in ("exists", "forall"):
+    cls = FORMS.get(head)
+    if cls in _FIXED_ARITY:
+        parse_arg, words = _FIXED_ARITY[cls]
+        if len(rest) != len(fields(cls)):
+            raise ParseError(f"({head} ...) takes {words}", node.line, node.column)
+        return cls(*map(parse_arg, rest))
+    if cls in (And, Or):
+        return cls(tuple(_parse_formula(r) for r in rest))
+    if cls in (Exists, ForAll):
         if len(rest) != 2:
             raise ParseError(f"({head} ...) takes a variable list and a body", node.line, node.column)
-        names = _parse_var_list(rest[0])
-        body = _parse_formula(rest[1])
-        return Exists(names, body) if head == "exists" else ForAll(names, body)
-    if head in ("bigand", "bigor"):
+        return cls(_parse_var_list(rest[0]), _parse_formula(rest[1]))
+    if cls in (CountableAnd, CountableOr):
         if len(rest) not in (2, 3):
             raise ParseError(f"({head} var [start] body)", node.line, node.column)
         var = _want_symbol(rest[0], "an index variable")
-        start = 1
-        body_node = rest[-1]
-        if len(rest) == 3:
-            if rest[1].atom is None or not _is_int(rest[1].atom.text):
-                raise ParseError("start bound must be an integer", rest[1].line, rest[1].column)
-            start = int(rest[1].atom.text)
-        body = _parse_formula(body_node)
-        return CountableAnd(var, start, body) if head == "bigand" else CountableOr(var, start, body)
-    if head == "rel":
+        if len(rest) == 3 and (rest[1].atom is None or not _is_int(rest[1].atom.text)):
+            raise ParseError("start bound must be an integer", rest[1].line, rest[1].column)
+        return cls(var, int(rest[1].atom.text) if len(rest) == 3 else 1, _parse_formula(rest[-1]))
+    if cls is SchemaRef:
         if not rest:
             raise ParseError("(rel NAME ...) needs a relation name", node.line, node.column)
         name_node = rest[0]
@@ -231,11 +210,7 @@ def _parse_formula(node: _Node) -> Formula:
         n_idx, arity = spec.n_indices, len(spec.params)
         args = rest[1:]
         if len(args) != n_idx + arity:
-            raise ParseError(
-                f"{name} takes {n_idx} index argument(s) and {arity} term(s)",
-                node.line,
-                node.column,
-            )
+            raise ParseError(f"{name} takes {n_idx} index argument(s) and {arity} term(s)", node.line, node.column)
         index_args: list[int | str] = []
         for arg in args[:n_idx]:
             if arg.atom is not None and _is_int(arg.atom.text):
@@ -247,6 +222,15 @@ def _parse_formula(node: _Node) -> Formula:
         terms = tuple(_parse_term(arg) for arg in args[n_idx:])
         return SchemaRef(name, tuple(index_args), terms)
     raise ParseError(f"unknown form {head!r}", head_node.line, head_node.column)
+
+
+# the forms with a fixed number of arguments: class -> (argument parser, that number in words)
+_FIXED_ARITY = {
+    AtomEqui: (_parse_term, "four terms"),
+    AtomEq: (_parse_term, "two terms"),
+    Not: (_parse_formula, "one formula"),
+    Implies: (_parse_formula, "two formulas"),
+}
 
 
 def parse_formula(text: str) -> Formula:

@@ -39,6 +39,7 @@ from .ast import (
     Var,
     conj,
     disj,
+    free_point_vars,
 )
 
 B_MODES = ("repaired", "strict-paper")
@@ -99,16 +100,20 @@ def _gamma(a: str, b: str, c: str) -> SchemaRef:
     return SchemaRef("GAMMA", (), (Var(a), Var(b), Var(c)))
 
 
-def _chain_exists(conjuncts: list[Formula], bound: list[str], leaf_extra: Formula | None = None) -> Formula:
-    """Nest ``conjuncts`` so conjunct i sits just inside the quantifier of
-    ``bound[i]`` (its newest variable); trailing conjuncts without a new
-    variable join the innermost body."""
-    body: Formula = conjuncts[-1] if leaf_extra is None else And((conjuncts[-1], leaf_extra))
-    for i in reversed(range(len(conjuncts) - 1)):
-        if i < len(bound) and bound[i] is not None:
-            body = Exists((bound[i],), And((conjuncts[i], body)))
-        else:
-            body = And((conjuncts[i], body))
+def _chain_exists(conjuncts: list[Formula], outer: tuple[str, ...], leaf_extra: Formula | None = None) -> Formula:
+    """Nest ``conjuncts`` so each sits just inside single-variable
+    quantifiers over the names it mentions first, leaving out ``outer``
+    (the relation's formal points); ``leaf_extra`` joins the innermost body."""
+    seen = set(outer)
+    binders = []
+    for conjunct in conjuncts:
+        binders.append([name for name in free_point_vars(conjunct) if name not in seen])
+        seen.update(binders[-1])
+    body = leaf_extra
+    for conjunct, names in reversed(list(zip(conjuncts, binders))):
+        body = conjunct if body is None else And((conjunct, body))
+        for name in reversed(names):
+            body = Exists((name,), body)
     return body
 
 
@@ -168,8 +173,7 @@ def _expand_alpha(trunc: TruncationParams, n: int) -> Formula:
     conjuncts: list[Formula] = [
         _mid(names[i], names[i + 1], names[i + 2]) for i in range(n - 1)
     ]
-    bound = [names[i + 2] if i + 2 < len(names) - 1 else None for i in range(n - 1)]
-    return And((distinct, _chain_exists(conjuncts, bound)))
+    return And((distinct, _chain_exists(conjuncts, RELATIONS["ALPHA"].params)))
 
 
 def _expand_beta(trunc: TruncationParams, k: int) -> Formula:
@@ -177,8 +181,7 @@ def _expand_beta(trunc: TruncationParams, k: int) -> Formula:
     ys = [f"y{i}" for i in range(1, k)] + ["y"]
     conjuncts: list[Formula] = [_mid("a", ys[0], "b")]
     conjuncts.extend(_mid("a", ys[i], ys[i - 1]) for i in range(1, k))
-    bound = [ys[i] if i < k - 1 else None for i in range(k)]
-    return And((distinct, _chain_exists(conjuncts, bound)))
+    return And((distinct, _chain_exists(conjuncts, RELATIONS["BETA"].params)))
 
 
 def _expand_psi(trunc: TruncationParams, n: int, k: int) -> Formula:
@@ -233,13 +236,8 @@ def _expand_b_level(level: int, mode: str) -> Formula:
     if mode == "repaired":
         hits = [_eq("b", m) for m in mids] + hits
     hit = disj(*hits)
-    if level == 1:
-        return Exists(("m1",), And((_mid("a", "m1", "c"), hit)))
     conjuncts: list[Formula] = [_mid(names[i], names[i + 1], names[i + 2]) for i in range(len(names) - 2)]
-    # conjunct i first references names[i+2]; m1 and m2 are both new at i=0
-    bound = [names[i + 2] if names[i + 2] != "c" else None for i in range(len(conjuncts))]
-    body = _chain_exists(conjuncts, bound, leaf_extra=hit)
-    return Exists(("m1",), body)
+    return _chain_exists(conjuncts, RELATIONS["B"].params, leaf_extra=hit)
 
 
 def _expand_b(trunc: TruncationParams) -> Formula:
@@ -254,8 +252,7 @@ def _expand_delta(trunc: TruncationParams, n: int) -> Formula:
     conjuncts: list[Formula] = [
         _equi(names[i], names[i + 1], "z0", "x") for i in range(n)
     ]
-    bound = [names[i + 1] if i + 1 < n else None for i in range(n)]
-    return _chain_exists(conjuncts, bound)
+    return _chain_exists(conjuncts, RELATIONS["DELTA"].params)
 
 
 def _expand_neq(trunc: TruncationParams) -> Formula:

@@ -169,6 +169,8 @@ class NormSpec:
         if self.kind == "lp":
             if self.p is None or self.p <= 1:
                 raise GeometryError("lp norm needs rational p > 1")
+            if self.p > sys.float_info.max:
+                raise GeometryError("lp norm needs p within the double range")
         elif self.p is not None:
             raise GeometryError(f"norm {self.kind} takes no p parameter")
 
@@ -193,10 +195,11 @@ def lp(p: Fraction | int | str) -> NormSpec:
 
 
 def _float_coord(c) -> float:
-    """A float coordinate; a "p/q" string is read exactly and rounded once."""
+    """A float coordinate; an integer or "p/q" string is read exactly and rounded once."""
     if isinstance(c, str) and "/" in c:
-        q = parse_exact(c)
-        return float(q) if abs(q) <= _FLOAT_COORD_MAX else (math.inf if q > 0 else -math.inf)
+        c = parse_exact(c)
+    if isinstance(c, (int, Fraction)) and abs(c) > _FLOAT_COORD_MAX:
+        return math.inf if c > 0 else -math.inf
     if not isinstance(c, (int, float, str, Fraction)):
         raise GeometryError(f"a float coordinate is a number or a numeric string, got {c!r}")
     return float(c)

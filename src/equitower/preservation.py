@@ -37,7 +37,7 @@ from .geometry import EXACT, ExactPoint, Point, Space, point_to_record
 from .kernel import FloatKernel, int_between as _int_between
 from .oracles import oracle_B
 from .sampling import Matrix, generator_rows, isometry_generators, point_draws
-from .scalars import float_eq, format_exact
+from .scalars import float_eq, format_exact, parse_exact
 
 
 class MapError(ValueError):
@@ -68,8 +68,10 @@ class PlaneMap:
     def __post_init__(self) -> None:
         if self.kind not in ("affine", "nonlinear"):
             raise MapError(f"unknown map kind {self.kind!r}")
-        if self.kind == "nonlinear" and self.family not in NONLINEAR_FAMILIES:
+        if self.kind == "nonlinear" and not (isinstance(self.family, str) and self.family in NONLINEAR_FAMILIES):
             raise MapError(f"unknown nonlinear family {self.family!r}")
+        if not isinstance(self.label, str):
+            raise MapError(f"map label must be a string, got {self.label!r}")
         if self.kind == "affine":
             m = self.matrix
             if m[0] * m[3] - m[1] * m[2] == 0:
@@ -94,10 +96,10 @@ class PlaneMap:
             return PlaneMap(kind="nonlinear", family=cfg.get("family"), label=label)
         raw_m = cfg.get("matrix", ["1", "0", "0", "1"])
         raw_s = cfg.get("shift", ["0", "0"])
-        if len(raw_m) != 4 or len(raw_s) != 2:
+        if not (isinstance(raw_m, list) and len(raw_m) == 4 and isinstance(raw_s, list) and len(raw_s) == 2):
             raise MapError("affine config needs matrix[4] and shift[2]")
-        matrix = tuple(Fraction(str(v)) for v in raw_m)
-        shift = tuple(Fraction(str(v)) for v in raw_s)
+        matrix = tuple(parse_exact(str(v)) for v in raw_m)
+        shift = tuple(parse_exact(str(v)) for v in raw_s)
         return PlaneMap(kind="affine", matrix=matrix, shift=shift, label=label)
 
 
@@ -333,8 +335,10 @@ def _classify(
             for px, py, qx, qy in triples.vectors
         ]
     else:  # each point goes through the coefficients in the order of PlaneMap.apply
-        m0, m1, m2, m3 = (float(v) for v in plane_map.matrix)
-        s0, s1 = (float(v) for v in plane_map.shift)
+        try:
+            m0, m1, m2, m3, s0, s1 = (float(v) for v in plane_map.matrix + plane_map.shift)
+        except OverflowError:
+            raise MapError(f"map {plane_map.label!r}: a coefficient is past the double range") from None
         kernel = space.kernel
         post = [
             _float_eq_dist(kernel, (m0 * ax + m1 * ay + s0, m2 * ax + m3 * ay + s1, m0 * bx + m1 * by + s0,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .geometry import GeometryError, Point, Space, point_from_record, point_to_record
+from .geometry import GeometryError, Point, Space, point_to_record
 
 TAG_INPUT = "input"
 TAG_MIDPOINT = "midpoint-closure"
@@ -91,9 +91,3 @@ class Universe:
             rec["tag"] = t
             out.append(rec)
         return out
-
-    @staticmethod
-    def from_records(space: Space, records: list[dict]) -> "Universe":
-        pts = [point_from_record(space, rec) for rec in records]
-        tags = [rec.get("tag", TAG_INPUT) for rec in records]
-        return Universe(space, pts, tags)

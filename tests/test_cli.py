@@ -10,6 +10,7 @@ import pytest
 
 import equitower
 from equitower.cli import build_parser, main
+from equitower.preservation import PlaneMap
 
 
 @pytest.fixture()
@@ -580,6 +581,88 @@ class TestFloatPointFiles:
         assert out.err.startswith("error: ") and out.err.count("\n") == 1, out.err
         assert "pts.json, record 2:" in out.err and "Traceback" not in out.err
 
+
+_BIG_INT = "1" + "0" * 400  # a JSON integer past the double range
+
+_RUN = ["--seed", "1", "--quadruples", "5", "--triples", "5"]
+_VOGT = ["vogt", *_RUN, "--maps"]
+_EVAL = ["eval", "--formula", "(= a b)", "--points", "PTS"]  # PTS: a sound two-point file
+_FLOAT = ["--norm", "l2", "--backend", "float"]
+_HOSTILE_FILES = {
+    # id: (argv before the hostile file, its text, fragments the one error line must hold)
+    "maps-int-record": (_VOGT, "[1]", ["record 0:", "JSON object"]),
+    "maps-scalar": (_VOGT, "3", ["must hold a JSON list"]),
+    "maps-int-matrix": (_VOGT, '[{"matrix": 5}]', ["record 0:", "matrix[4]"]),
+    "maps-list-label": (_VOGT, '[{"label": [1], "expect": "violating"}]', ["record 0:", "label"]),
+    "maps-zero-denominator": (_VOGT, '[{"shift": ["1/0", 0]}]', ["record 0:", "1/0"]),
+    "maps-list-family": (_VOGT, '[{"kind": "nonlinear", "family": [1]}]', ["record 0:", "family"]),
+    "universe-int-tag": ([*_EVAL, "--explain", "--universe"], '[{"x": 0, "y": 0}, {"x": 1, "y": 0, "tag": 5}]',
+                         ["record 1:", "tag"]),
+    "universe-list-tag": ([*_EVAL, "--explain", "--universe"], '[{"x": 0, "y": 0, "tag": [1]}]', ["record 0:", "tag"]),
+    "universe-object": ([*_EVAL, "--universe"], '{"a": 1}', ["must hold a JSON list"]),
+    "universe-bad-string": ([*_EVAL, *_FLOAT, "--universe"], '[{"x": "a", "y": 0}]', ["record 0:", "'a'"]),
+    "universe-huge-int": ([*_EVAL, *_FLOAT, "--universe"], f'[{{"x": {_BIG_INT}, "y": 0}}]', ["record 0:", "finite"]),
+    "points-huge-int": (["eval", "--formula", "(= a b)", *_FLOAT, "--points"],
+                        f'[{{"x": 0, "y": 0}}, {{"x": -{_BIG_INT}, "y": 0}}]', ["record 1:", "finite"]),
+}
+
+
+class TestHostileInputFiles:
+    """Every input file goes through one checked reader: a JSON list of
+    objects, each record parsed, a refusal naming the file and the record."""
+
+    @pytest.mark.parametrize("case", sorted(_HOSTILE_FILES))
+    def test_refused_with_one_named_error(self, tmp_path, capsys, case):
+        argv, text, fragments = _HOSTILE_FILES[case]
+        bad = tmp_path / "hostile.json"
+        bad.write_text(text)
+        points = tmp_path / "pts.json"
+        points.write_text(json.dumps([{"x": 0, "y": 0}, {"x": 1, "y": 0}]))
+        assert main([str(points) if arg == "PTS" else arg for arg in argv] + [str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert all(fragment in err for fragment in ["hostile.json", *fragments]), err
+
+    def test_a_map_coefficient_past_the_double_range_names_the_map(self, tmp_path, capsys):
+        maps = tmp_path / "maps.json"
+        maps.write_text(json.dumps([{"label": "huge", "matrix": ["1e400", 0, 0, 1]}]))
+        assert main(["vogt", *_RUN, "--backend", "float", "--maps", str(maps)]) == 2
+        _assert_one_line_error(capsys, "map 'huge'")
+
+    def test_each_map_config_is_read_once(self, tmp_path, monkeypatch):
+        maps = tmp_path / "maps.json"
+        maps.write_text(json.dumps([{"label": "id", "expect": "bidirectional-preserving"}]))
+        calls = []
+        real = PlaneMap.from_config
+        monkeypatch.setattr(PlaneMap, "from_config", staticmethod(lambda cfg: calls.append(cfg) or real(cfg)))
+        assert main(["vogt", *_RUN, "--maps", str(maps), "--output", str(tmp_path / "out.json")]) == 0
+        assert len(calls) == 1
+
+
+class TestHostileNorms:
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("norm", ["lp:1/0", "lp:1e400"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify-layer", "--relation", "LE", "--seed", "1", "--samples", "2"], ["vogt", *_RUN],
+         ["check-axioms", "--axiom", "a", "--seed", "1", "--samples", "2", "--constructions", "2"]],
+        ids=["verify-layer", "vogt", "check-axioms"],
+    )
+    def test_refused_with_one_error(self, capsys, argv, norm, backend):
+        assert main(argv + ["--norm", norm, "--backend", backend]) == 2
+        _assert_one_line_error(capsys, "")
+
+
+class TestInternalErrors:
+    def test_an_unexpected_exception_exits_three_with_its_traceback(self, capsys, monkeypatch):
+        def broken(rel, trunc):
+            raise RuntimeError("broken expansion")
+
+        monkeypatch.setattr("equitower.cli.expand_schema", broken)
+        assert main(["expand", "--relation", "LE"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError: broken expansion\n"), err
+        assert "Traceback" in err and "error:" not in err.replace("internal error:", "")
 
 class TestChainCap:
     def test_cap_reaches_axiom_i_inside_the_suite(self, tmp_path):
