@@ -17,8 +17,8 @@ from pathlib import Path
 from . import __version__
 from .axioms import CHECKERS, run_axiom, run_axiom_suite
 from .closure import IncompleteClosureError, close_midpoints, closure_for_relation
-from .formulas.ast import SchemaRef, format_formula, free_point_vars
-from .formulas.evaluator import AS_FORMULA, AS_ORACLE, ImplMap, eval_formula
+from .formulas.ast import Exists, ForAll, SchemaRef, format_formula, free_point_vars
+from .formulas.evaluator import ImplMap, _Evaluator, eval_formula
 from .formulas.parser import ParseError, parse_formula
 from .formulas.schemas import SchemaError, TruncationParams, expand_schema
 from .formulas.verify import verify_layer
@@ -31,7 +31,7 @@ from .geometry import (
     lp,
     point_from_record,
 )
-from .oracles import OracleError, RelationId
+from .oracles import RELATIONS, OracleError, RelationId
 from .preservation import (
     ANISOTROPIC,
     CUBIC_X,
@@ -135,17 +135,15 @@ def _emit(args, payload) -> None:
 
 
 def _impl_from_args(args, top_name: str | None) -> ImplMap:
-    overrides = {}
+    """The formula-mode set: the top relation, then each ``--impl REL=oracle|formula``
+    in order, the last setting of a relation winning."""
+    modes = {} if top_name is None else {top_name: "formula"}
     for item in args.impl or ():
-        if "=" not in item:
-            raise GeometryError(f"--impl takes REL=oracle or REL=formula, got {item!r}")
-        name, how = item.split("=", 1)
-        if how not in (AS_ORACLE, AS_FORMULA):
-            raise GeometryError(f"--impl value must be oracle or formula, got {how!r}")
-        overrides[name.upper()] = how
-    if top_name is not None and top_name not in overrides:
-        overrides[top_name] = AS_FORMULA
-    return ImplMap.from_dict(overrides, AS_ORACLE)
+        name, _, how = item.partition("=")
+        if name.upper() not in RELATIONS or how not in ("oracle", "formula"):
+            raise GeometryError(f"--impl takes REL=oracle or REL=formula, REL one of {', '.join(RELATIONS)}; got {item!r}")
+        modes[name.upper()] = how
+    return ImplMap(frozenset(name for name, how in modes.items() if how == "formula"))
 
 
 def cmd_eval(args) -> int:
@@ -179,30 +177,25 @@ def cmd_eval(args) -> int:
         for name, p in valuation.items():
             print(f"  {name} := ({p.x}, {p.y})")
         print(f"  universe: {len(universe)} points ({', '.join(sorted(set(universe.tags)))})")
-        print(f"  impl: {impl.to_dict()}")
+        print(f"  formula mode: {', '.join(sorted(impl.formulas)) or 'none'}")
         _explain_top_quantifier(formula, space, universe, valuation, trunc, impl, verdict)
     return 0 if verdict else 1
 
 
 def _explain_top_quantifier(formula, space, universe, valuation, trunc, impl, verdict) -> None:
     """For a top-level quantifier, name the binding that settled the verdict:
-    the witness of a true existential or the refuter of a false universal."""
-    from itertools import product
-
-    from .formulas.ast import Exists, ForAll
-
-    if isinstance(formula, Exists) and verdict:
-        goal, label = True, "witness"
-    elif isinstance(formula, ForAll) and not verdict:
-        goal, label = False, "refuter"
-    else:
+    the witness of a true existential or the refuter of a false universal, the
+    first in universe order.  Each variable takes the first point from which
+    the evaluator's search over the variables after it still settles it."""
+    goal = {Exists: True, ForAll: False}.get(type(formula))
+    if goal is None or goal != verdict:
         return
-    for assignment in product(universe.points, repeat=len(formula.vars)):
-        bound = {**valuation, **dict(zip(formula.vars, assignment))}
-        if eval_formula(formula.body, space, universe, bound, trunc, impl) is goal:
-            pretty = ", ".join(f"{n} := ({p.x}, {p.y})" for n, p in zip(formula.vars, assignment))
-            print(f"  {label}: {pretty}")
-            return
+    ev, pv, picks = _Evaluator(space, universe, trunc, impl), dict(valuation), []
+    for i, name in enumerate(formula.vars):
+        rest = formula.vars[i + 1 :]
+        p = pv[name] = next(q for q in universe.points if ev.search(rest, formula.body, {**pv, name: q}, {}, goal))
+        picks.append(f"{name} := ({p.x}, {p.y})")
+    print(f"  {'witness' if goal else 'refuter'}: {', '.join(picks)}")
 
 
 def cmd_expand(args) -> int:

@@ -3,9 +3,9 @@
 Point quantifiers range over a :class:`~equitower.universe.Universe`;
 countable connectives range over truncated integer index sets (``bigand``
 up to K, ``bigor`` up to N).  A :class:`SchemaRef` dispatches through an
-:class:`ImplMap`: either the relation's analytic oracle is called, or its
-expansion is evaluated with the reference's arguments bound to the
-expansion's formal parameters.
+:class:`ImplMap`, the set of formula-mode relations: a relation in the set
+has its expansion evaluated with the reference's arguments bound to the
+expansion's formal parameters, and any other calls its analytic oracle.
 
 Bounded universal quantification over-approximates plane-wide truth: the
 verdict is faithful only on universes that contain the relevant witnesses
@@ -60,52 +60,25 @@ from .ast import (
 )
 from .schemas import TruncationParams, expand_schema, schema_params
 
-AS_ORACLE = "oracle"
-AS_FORMULA = "formula"
 _UNBOUND = object()
 _LITERAL_RELS: dict[tuple, RelationId] = {}  # a pure memo: (name, literal indices) -> validated id
 
 
 class EvalError(ValueError):
-    """Unbound variable, missing impl entry, or malformed query."""
+    """Unbound variable or malformed query."""
 
 
 @dataclass(frozen=True)
 class ImplMap:
-    """Per-relation choice between oracle and formula treatment.
+    """The relations evaluated by their expansions (formula mode); every
+    other relation is answered by its oracle."""
 
-    Keys are relation names; an optional default applies to every relation
-    not explicitly listed.  A missing entry with no default is an error, so
-    layer checks always state which layers stay symbolic.
-    """
-
-    entries: tuple[tuple[str, str], ...] = ()
-    default: str | None = AS_ORACLE
-
-    def __post_init__(self) -> None:
-        for name, how in self.entries:
-            if how not in (AS_ORACLE, AS_FORMULA):
-                raise EvalError(f"impl for {name} must be 'oracle' or 'formula', got {how!r}")
-
-    @staticmethod
-    def from_dict(mapping: dict[str, str], default: str | None = AS_ORACLE) -> "ImplMap":
-        return ImplMap(tuple(sorted(mapping.items())), default)
+    formulas: frozenset[str] = frozenset()
 
     @staticmethod
     def layered(top: str) -> "ImplMap":
         """Top relation as a formula, every lower layer as its oracle."""
-        return ImplMap(((top, AS_FORMULA),), AS_ORACLE)
-
-    def how(self, name: str) -> str:
-        for key, how in self.entries:
-            if key == name:
-                return how
-        if self.default is None:
-            raise EvalError(f"no impl entry for relation {name}")
-        return self.default
-
-    def to_dict(self) -> dict:
-        return {"entries": dict(self.entries), "default": self.default}
+        return ImplMap(frozenset((top,)))
 
 
 class _Evaluator:
@@ -209,8 +182,7 @@ class _Evaluator:
         return rel
 
     def schema_truth(self, rel: RelationId, points: tuple[Point, ...]) -> bool:
-        how = self.impl.how(rel.name)
-        if how == AS_ORACLE:
+        if rel.name not in self.impl.formulas:
             return oracle_truth(self.space, rel, points)
         if rel.name == "GAMMA" and self.trunc.adaptive_n:
             return self.gamma_truncated(*points)

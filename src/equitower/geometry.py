@@ -487,11 +487,11 @@ def _lp_float_meets(space: Space, c: Point, radius_c: float, d: Point, radius_d:
     half of c's sphere, left then right of line cd, is bisected until the
     midpoint angle equals an end.
     """
-    p = float(space.norm.p)
+    length = space.kernel.vector_length
 
     def on_ball(theta: float) -> Point:
         dx, dy = math.cos(theta), math.sin(theta)
-        scale = radius_c / ((abs(dx) ** p + abs(dy) ** p) ** (1.0 / p))
+        scale = radius_c / length(dx, dy)
         return Point(c.x + scale * dx, c.y + scale * dy)
 
     toward = math.atan2(d.y - c.y, d.x - c.x)

@@ -240,14 +240,21 @@ class _ExactL2Kernel(ExactKernel):
 
 
 _EXACT_KERNELS = {"l1": _ExactL1Kernel(), "linf": _ExactLinfKernel(), "l2": _ExactL2Kernel()}
+_NORMAL_MIN = 2.0**-1022  # the least positive normal double
 
 
 def _lp_length(p: float, x: float, y: float) -> float:
+    """(|x|^p + |y|^p)^(1/p); a power sum outside the normal double range, with a
+    coordinate nonzero, is taken scaled by the larger coordinate, into [1, 2]."""
+    x, y = abs(x), abs(y)
     try:
-        return (abs(x) ** p + abs(y) ** p) ** (1.0 / p)
-    except OverflowError:  # a power past the double range: scale by the larger coordinate first
-        m = max(abs(x), abs(y))
-        return m * ((abs(x) / m) ** p + (abs(y) / m) ** p) ** (1.0 / p)
+        s = x**p + y**p
+    except OverflowError:
+        s = math.inf
+    if _NORMAL_MIN <= s < math.inf or x == y == 0.0:
+        return s ** (1.0 / p)
+    m = max(x, y)
+    return m * ((x / m) ** p + (y / m) ** p) ** (1.0 / p)
 
 
 def _finite(value: float) -> float:

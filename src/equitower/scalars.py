@@ -173,6 +173,19 @@ class _Radical:
     def __float__(self) -> float:
         return sum((float(t.coeff) * float(t.radicand) ** 0.5 for t in self.terms), 0.0)
 
+    def __hash__(self) -> int:
+        """Equal values hash equally: a rational value as its Fraction, any other
+        by its exact square, a rational q or q + sqrt(c) hashed as the pair (q, c)."""
+        if len(self.terms) == 2:
+            square, cross = _square_pair(self.terms)
+            if not cross.is_rational():
+                return hash((square, cross.squared()))
+            square += cross.coeff
+        else:
+            square = sum((t.squared() for t in self.terms), ZERO)
+        root = rational_root(square.numerator, square.denominator)
+        return hash(square if root is None else root)
+
 
 class Rad(_Radical):
     """Exact nonnegative value ``coeff * sqrt(radicand)``.
@@ -219,11 +232,6 @@ class Rad(_Radical):
     @staticmethod
     def sqrt(q: Rational) -> "Rad":
         return Rad(1, Fraction(q))
-
-    def __hash__(self) -> int:
-        if self.is_rational():
-            return hash(self.coeff)
-        return hash((self.coeff, self.radicand))
 
     def __add__(self, other):
         terms = _terms(other)
@@ -272,9 +280,6 @@ class RadSum(_Radical):
         if a.radicand == b.radicand:
             return Rad(a.coeff + b.coeff, a.radicand)
         return self
-
-    def __hash__(self) -> int:
-        return hash(frozenset((t.coeff, t.radicand) for t in self.terms))
 
     def __repr__(self) -> str:
         if not self.terms:

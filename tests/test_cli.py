@@ -63,6 +63,19 @@ class TestEval:
         ) == 1
         assert "refuter: z :=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("item", ["FOO=formula", "=formula", "GAMMA=maybe", "GAMMA=Formula", "GAMMA"])
+    def test_impl_names_a_known_relation_and_mode(self, collinear_points, capsys, item):
+        argv = ["eval", "--formula", "(rel GAMMA a b c)", "--points", collinear_points, "--impl", item]
+        assert main(argv) == 2
+        _assert_one_line_error(capsys, repr(item))
+
+    def test_impl_last_setting_wins_and_explain_prints_the_formula_set(self, collinear_points, capsys):
+        argv = ["eval", "--formula", "(rel GAMMA a b c)", "--points", collinear_points, "--explain"]
+        assert main([*argv, "--impl", "psi=formula", "--impl", "PSI=oracle", "--impl", "b=formula"]) == 0
+        assert "\n  formula mode: B, GAMMA\n" in capsys.readouterr().out
+        assert main([*argv, "--impl", "GAMMA=oracle"]) == 0
+        assert "\n  formula mode: none\n" in capsys.readouterr().out
+
     def test_universe_file_round_trip(self, tmp_path, collinear_points):
         uni_path = tmp_path / "uni.json"
         code = main(
@@ -523,6 +536,21 @@ class TestHostilePoints:
         argv = ["closure", "--relation", "EQUIV2", "--points", str(points), "--norm", "lp:3", "--backend", "float"]
         assert main(argv) == 0
         assert isinstance(json.loads(capsys.readouterr().out), list)
+
+    def test_lp_lengths_below_the_double_range_keep_distinct_points_apart(self, tmp_path, capsys):
+        # 0.5^2000 underflows to 0, so the unscaled lp:2000 length of (0.5, 0) would read 0
+        points = tmp_path / "pts.json"
+        points.write_text(json.dumps([{"x": 0, "y": 0}, {"x": 0.5, "y": 0}]))
+        argv = ["eval", "--formula", "(= a b)", "--points", str(points), "--norm", "lp:2000", "--backend", "float"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == "false\n"
+
+    def test_lp_sphere_meets_below_the_double_range_end_without_a_traceback(self, capsys):
+        # the unit-ball point of an lp:1e300 sphere meet divided by an underflowed length
+        argv = ["verify-layer", "--relation", "DELTA:2", "--samples", "2", "--seed", "95", "--norm", "lp:1e300",
+                "--backend", "float"]
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_length_sums_past_the_double_range_are_refused(self, tmp_path, capsys):
         # in l1, d(a,b) + d(b,c) is inf, and float_eq(inf, d(a,c)) would hold

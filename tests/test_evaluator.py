@@ -5,7 +5,7 @@ import pytest
 
 from equitower import ImplMap, L2, LINF, Point, Space, TruncationParams, Universe, eval_formula
 from equitower.closure import closure_for_relation
-from equitower.formulas.evaluator import AS_FORMULA, EvalError, schema_query
+from equitower.formulas.evaluator import EvalError, schema_query
 from equitower.formulas.generate import random_formula
 from equitower.formulas.parser import parse_formula
 from equitower.oracles import GAMMA, RelationId, oracle_truth
@@ -52,13 +52,6 @@ class TestEvalBasics:
         uni = Universe(S2, [pt(0, 0)])
         with pytest.raises(EvalError):
             eval_formula(parse_formula("(= a b)"), S2, uni, {"a": pt(0, 0)}, TR, ImplMap())
-
-    def test_missing_impl_entry_is_an_error(self):
-        uni = Universe(S2, [pt(0, 0)])
-        strict = ImplMap((("GAMMA", AS_FORMULA),), default=None)
-        f = parse_formula("(rel M a a a)")
-        with pytest.raises(EvalError):
-            eval_formula(f, S2, uni, {"a": pt(0, 0)}, TR, strict)
 
     def test_unbound_index_variable_is_an_error(self):
         uni = Universe(S2, [pt(0, 0)])

@@ -12,6 +12,7 @@ what sphere intersection and the layer verifier actually do.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -408,13 +409,140 @@ def test_lp_length_scales_only_past_the_double_range(p):
     from equitower.kernel import _lp_length
 
     rng = random.Random(int(p * 10))
+    plain = 0
     for _ in range(2000):
         x, y = (rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 100) for _ in range(2))
-        # every length the plain form reaches stays the same double
-        assert _lp_length(p, x, y) == (abs(x) ** p + abs(y) ** p) ** (1.0 / p)
+        m, length = max(abs(x), abs(y)), _lp_length(p, x, y)
+        if abs(x) ** p + abs(y) ** p >= sys.float_info.min:
+            # every length whose power sum is a normal double stays the plain form's double
+            assert length == (abs(x) ** p + abs(y) ** p) ** (1.0 / p)
+            plain += 1
+        else:  # a power sum that underflows is taken scaled, so a nonzero vector keeps a nonzero length
+            assert 0 < m <= length <= 2 * m
+    assert 1000 < plain < 2000
     for x, y in ((1e308, 0.0), (0.0, -1e308), (6e307, -8e307), (1e307, 1e307)):
         with pytest.raises(OverflowError):
             abs(max(x, y, key=abs)) ** p
         m = max(abs(x), abs(y))
         length = _lp_length(p, x, y)
         assert math.isfinite(length) and m <= length <= 2 * m
+    for x, y in ((1e-300, 0.0), (0.0, -1e-320), (5e-324, 5e-324), (3e-290, -1e-295)):
+        assert abs(x) ** p + abs(y) ** p < sys.float_info.min
+        m = max(abs(x), abs(y))
+        assert 0 < m <= _lp_length(p, x, y) <= 2 * m
+    assert _lp_length(p, 0.0, -0.0) == 0.0
+
+
+# ----------------------------------------------------------------------
+# the float kernel and exact-l2 vector lengths against plain arithmetic
+# ----------------------------------------------------------------------
+
+FLOAT_LABELS = ("l1", "l2", "linf", "lp:3")
+FLOAT_SCALES = ((0, 1), (1, 2), (1, 1), (2, 1), (7, 3), (3, 7))
+FLOAT_TOL = 1e-9
+NUDGES = (0.0, 0.5, -0.5, 2.0, -2.0, 30.0)  # relative shifts in units of the tolerance, both sides of a tie
+
+
+def plain_len(label, x, y):
+    x, y = abs(x), abs(y)
+    if label == "l1":
+        return x + y
+    if label == "linf":
+        return max(x, y)
+    if label == "l2":
+        return math.hypot(x, y)
+    return (x**3.0 + y**3.0) ** (1.0 / 3.0)
+
+
+def plain_eq(u, v):
+    return abs(u - v) <= FLOAT_TOL * max(1.0, abs(u), abs(v))
+
+
+def plain_le(u, v):
+    return u <= v + FLOAT_TOL * max(1.0, abs(u), abs(v))
+
+
+def float_space(label):
+    return Space(plane_norm(label), "float", FLOAT_TOL)
+
+
+def float_point(rng):
+    return Point(rng.uniform(-50, 50), rng.uniform(-50, 50))
+
+
+def nudged(a, b, rng):
+    """b moved along ab by a few tolerances of its length, or left as it is."""
+    t = 1.0 + rng.choice(NUDGES) * FLOAT_TOL
+    return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+
+@pytest.mark.parametrize("label", FLOAT_LABELS)
+@pytest.mark.parametrize("qn, qd", FLOAT_SCALES)
+def test_float_scaled_comparisons_match_plain_doubles(label, qn, qd):
+    space = float_space(label)
+    rng = random.Random(f"float-scaled:{label}:{qn}/{qd}")
+    ties = 0
+    for i in range(400):
+        a, b, c, d = (float_point(rng) for _ in range(4))
+        if i % 2:  # d(a,b) = q * d(c,d) by homogeneity, then nudged across the tolerance
+            b = nudged(a, Point(a.x + qn / qd * (d.x - c.x), a.y + qn / qd * (d.y - c.y)), rng)
+        ab, rhs = plain_len(label, a.x - b.x, a.y - b.y), qn / qd * plain_len(label, c.x - d.x, c.y - d.y)
+        eq = plain_eq(ab, rhs)
+        assert space.eq_dist_scaled(a, b, F(qn, qd), c, d) == eq
+        assert space.le_dist_scaled(a, b, F(qn, qd), c, d) == plain_le(ab, rhs)
+        assert space.ge_dist_scaled(a, b, F(qn, qd), c, d) == plain_le(rhs, ab)
+        ties += eq
+    assert 60 < ties < 400
+
+
+@pytest.mark.parametrize("label", FLOAT_LABELS)
+def test_float_path_sum_eq_matches_plain_doubles(label):
+    space = float_space(label)
+    rng = random.Random(f"float-path:{label}")
+    hits = 0
+    for i in range(600):
+        a, c = float_point(rng), float_point(rng)
+        if i % 2:  # on segment ac, then nudged off it along ab
+            t = rng.random()
+            b = nudged(a, Point(a.x + t * (c.x - a.x), a.y + t * (c.y - a.y)), rng)
+        else:
+            b = float_point(rng)
+        want = plain_eq(plain_len(label, a.x - b.x, a.y - b.y) + plain_len(label, b.x - c.x, b.y - c.y),
+                        plain_len(label, a.x - c.x, a.y - c.y))
+        assert space.path_sum_eq(a, b, c) == want
+        hits += want
+    assert 150 < hits < 600
+
+
+@pytest.mark.parametrize("kind", ("l1", "linf"))
+def test_float_box_kernel_agrees_with_the_exact_one_on_integer_grids(kind):
+    # small integer coordinates make every float box length exact, and with
+    # q's denominator at most 3 two different values differ by at least 1/3,
+    # far above the tolerance
+    exact, floats = exact_space(kind), float_space(kind)
+    rng = random.Random(f"float-grid:{kind}")
+
+    def pair():
+        xy = [rng.randint(-40, 40) for _ in range(2)]
+        return Point(*xy), Point(*map(float, xy))
+
+    for _ in range(600):
+        (a, fa), (b, fb), (c, fc), (d, fd) = (pair() for _ in range(4))
+        q = F(rng.randint(0, 7), rng.randint(1, 3))
+        if rng.random() < 0.5:  # a path through b when b lies in the box of a and c
+            b, fb = Point(a.x, c.y), Point(fa.x, fc.y)
+        assert floats.path_sum_eq(fa, fb, fc) == exact.path_sum_eq(a, b, c)
+        for method in ("eq_dist_scaled", "le_dist_scaled", "ge_dist_scaled"):
+            assert getattr(floats, method)(fa, fb, q, fc, fd) == getattr(exact, method)(a, b, q, c, d)
+
+
+def test_exact_l2_vector_length_is_the_integer_square_sum():
+    from equitower.kernel import sq_length
+
+    length = exact_space("l2").kernel.vector_length
+    rng = random.Random("exact-l2-vector")
+    for _ in range(2000):
+        x, y = (rng.choice((0, rng.randint(-9, 9), rng.randint(-10**12, 10**12))) for _ in range(2))
+        want = sq_length(Point(0, 0), Point(x, y))[0]
+        assert want == x * x + y * y
+        assert length(x, y) == want and length(y, -x) == want

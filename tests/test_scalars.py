@@ -258,3 +258,47 @@ def test_hypothesis_float_is_within_1e12_of_the_value():
             assert abs(Decimal(float(x)) - exact) <= Decimal("1e-12") * exact
 
     run()
+
+
+def test_equal_radicals_hash_equally():
+    pairs = [
+        (Rad(1, 8), Rad(2, 2)),
+        (RadSum((Rad(1, 2), Rad(1, 8))), Rad(3, 2)),
+        (RadSum((Rad(1, 3),)), Rad(1, 3)),
+        (RadSum(()), 0),
+        (Rad(3, 4), 6),
+        (RadSum((Rad(1, 2), Rad(1, 3))), RadSum((Rad(Fraction(1, 2), 12), Rad(Fraction(1, 3), 18)))),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y), (x, y)
+        assert len({x, y}) == 1
+
+
+def test_hypothesis_equal_values_hash_equally():
+    hypothesis, draw = _radical_strategies()
+    st = hypothesis.strategies
+    small, factor, square_free = st.integers(0, 6), st.integers(1, 4), st.sampled_from((1, 2, 3, 5, 6, 7))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(small, factor, square_free, small, factor, square_free, st.integers(1, 3))
+    def written_two_ways(c1, k1, r1, c2, k2, r2, d):
+        # c*sqrt(k^2 r / d^2) = (c k / d)*sqrt(r): one value, its radicands square-free or not, in either order
+        one = RadSum((Rad(c1, Fraction(k1 * k1 * r1, d * d)), Rad(c2, k2 * k2 * r2)))
+        other = RadSum((Rad(c2 * k2, r2), Rad(Fraction(c1 * k1, d), r1)))
+        forms = [one, other, one.collapse(), other.collapse()]
+        if r1 == r2:
+            forms.append(Rad(Fraction(c1 * k1, d) + c2 * k2, r1))
+        if r1 == r2 == 1:
+            forms.append(Fraction(c1 * k1, d) + c2 * k2)
+        for x in forms:
+            for y in forms:
+                assert x == y and hash(x) == hash(y), (x, y)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.one_of(draw.rads, draw.radsums), st.one_of(draw.rads, draw.radsums, draw.numbers))
+    def drawn(x, y):
+        if x == y:
+            assert hash(x) == hash(y), (x, y)
+
+    written_two_ways()
+    drawn()
