@@ -83,6 +83,37 @@ class TestParser:
         assert fragment in str(err.value)
         assert "line" in str(err.value)
 
+    # whitespace is what str.isspace says (only "\n" ends a line); ";" opens a
+    # comment anywhere, even glued to an atom; an error reads (message, line, column)
+    @pytest.mark.parametrize(
+        "text,want",
+        [
+            ("(=\ta\tb)\t", "(= a b)"),
+            ("(= a b)\r\n", "(= a b)"),
+            ("(and\r\n(= a b)\r\n  (nope))", ("unknown form 'nope'", 3, 4)),
+            ("(=\x0ba\x0cb)", "(= a b)"),
+            ("(= a\x85b\xa0)", "(= a b)"),
+            ("\x1c(= a\x1fb)", "(= a b)"),
+            ("(=\u3000a b)", "(= a b)"),
+            ("(= a\u200bb)", ("(= ...) takes two terms", 1, 1)),
+            ("(= a b;c\n)", "(= a b)"),
+            ("(= a b) ; no newline", "(= a b)"),
+            ("(= a b ; no newline", ("unclosed '('", 1, 1)),
+            ("(and\t(= a b)\t(frob a))", ("unknown form 'frob'", 1, 15)),
+            ("(and\u2028(= a b)\u2028 (frob a))", ("unknown form 'frob'", 1, 16)),
+            ("(= a b)\u2028x", ("trailing input after formula", 1, 9)),
+        ],
+    )
+    def test_tokenizer_edge_cases(self, text, want):
+        if isinstance(want, str):
+            assert format_formula(parse_formula(text)) == want
+            return
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        message, line, column = want
+        assert str(err.value) == f"{message} (line {line}, column {column})"
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_error_position_is_accurate(self):
         with pytest.raises(ParseError) as err:
             parse_formula("(and (= a b)\n  (rel WAT a b))")
