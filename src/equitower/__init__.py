@@ -34,17 +34,11 @@ from .geometry import (
 from .oracles import RelationId
 from .scalars import Rad
 from .universe import Universe
-from .formulas import (
-    ImplMap,
-    LayerReport,
-    TruncationParams,
-    eval_formula,
-    expand_schema,
-    format_formula,
-    parse_formula,
-    verification_space,
-    verify_layer,
-)
+from .formulas.ast import format_formula
+from .formulas.parser import parse_formula
+from .formulas.schemas import TruncationParams, expand_schema
+from .formulas.evaluator import ImplMap, eval_formula
+from .formulas.verify import LayerReport, verification_space, verify_layer
 
 __all__ = [
     "__version__",

@@ -1,58 +1,2 @@
 """Formula kernel: AST, s-expression parser/printer, schema expansions, and
 the bounded evaluator with per-relation oracle/formula dispatch."""
-
-from .ast import (
-    AtomEq,
-    AtomEqui,
-    And,
-    Const,
-    CountableAnd,
-    CountableOr,
-    Exists,
-    ForAll,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    SchemaRef,
-    Term,
-    Var,
-    format_formula,
-    free_point_vars,
-)
-from .parser import ParseError, parse_formula
-from .schemas import SchemaError, TruncationParams, expand_schema, schema_params
-from .evaluator import EvalError, ImplMap, eval_formula
-from .verify import LayerReport, verify_layer, verification_space
-
-__all__ = [
-    "AtomEq",
-    "AtomEqui",
-    "And",
-    "Const",
-    "CountableAnd",
-    "CountableOr",
-    "Exists",
-    "ForAll",
-    "Formula",
-    "Implies",
-    "Not",
-    "Or",
-    "SchemaRef",
-    "Term",
-    "Var",
-    "format_formula",
-    "free_point_vars",
-    "ParseError",
-    "parse_formula",
-    "SchemaError",
-    "TruncationParams",
-    "expand_schema",
-    "schema_params",
-    "EvalError",
-    "ImplMap",
-    "eval_formula",
-    "LayerReport",
-    "verify_layer",
-    "verification_space",
-]

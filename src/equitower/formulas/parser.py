@@ -15,6 +15,8 @@ Errors carry 1-based line and column of the offending token.
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import fields
 from fractions import Fraction
 
@@ -49,57 +51,18 @@ class ParseError(ValueError):
         self.column = column
 
 
-class _Token:
-    __slots__ = ("text", "line", "column")
-
-    def __init__(self, text: str, line: int, column: int):
-        self.text = text
-        self.line = line
-        self.column = column
+_Token = namedtuple("_Token", "text line column")
+_Node = namedtuple("_Node", "atom items line column")  # an atom token, or a parenthesized list of nodes
+_TOKEN = re.compile(r"[()]|[^\s();]+")
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "()":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-            continue
-        start, start_col = i, col
-        while i < len(text) and not text[i].isspace() and text[i] not in "();":
-            i += 1
-            col += 1
-        tokens.append(_Token(text[start:i], line, start_col))
-    return tokens
-
-
-class _Node:
-    """Either an atom token or a parenthesized list of nodes."""
-
-    __slots__ = ("atom", "items", "line", "column")
-
-    def __init__(self, atom: _Token | None, items: "list[_Node] | None", line: int, column: int):
-        self.atom = atom
-        self.items = items
-        self.line = line
-        self.column = column
+    """The tokens of each line up to its first ';'; only a newline ends a line."""
+    return [
+        _Token(m.group(), line, m.start() + 1)
+        for line, row in enumerate(text.split("\n"), 1)
+        for m in _TOKEN.finditer(row.partition(";")[0])
+    ]
 
 
 def _read(tokens: list[_Token], pos: int) -> tuple[_Node, int]:

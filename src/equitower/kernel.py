@@ -77,9 +77,9 @@ def int_between(px: int, py: int, qx: int, qy: int) -> bool:
 class ExactKernel:
     """Exact comparisons on integer lengths ``(num, den)``, den > 0.
 
-    Subclasses define ``length(a, b)`` and ``vector_length(x, y)``;
-    ``squared`` is set when they are squared lengths, so that scale factors
-    enter squared too.
+    Subclasses define ``length(a, b)``, ``vector_length(x, y)`` and
+    ``path_defect_at_most``; ``squared`` is set when they are squared
+    lengths, so that scale factors enter squared too.
     """
 
     squared = False
@@ -166,6 +166,11 @@ class ExactKernel:
             vn, vd = vn * vn, vd * vd
         return n * vd == vn * d
 
+    def path_sum_eq(self, a: Point, b: Point, c: Point) -> bool:
+        """d(a,b) + d(b,c) = d(a,c): by the triangle inequality the defect is
+        never negative, so on integers "at most 0" is "exactly 0"."""
+        return self.path_defect_at_most(a, b, c, 0, 1)
+
     def annulus_ok(self, c: Point, radius_c, d: Point, radius_d) -> bool:
         """|R - r| <= d(c,d) <= R + r, over the radii's common denominator."""
         pn, pd = radius_c.as_integer_ratio()
@@ -179,12 +184,6 @@ class ExactKernel:
 
 class _BoxKernel(ExactKernel):
     """l1 and linf, whose lengths are rational."""
-
-    def path_sum_eq(self, a: Point, b: Point, c: Point) -> bool:
-        n1, d1 = self.length(a, b)
-        n2, d2 = self.length(b, c)
-        n3, d3 = self.length(a, c)
-        return (n1 * d2 + n2 * d1) * d3 == n3 * d1 * d2
 
     def path_defect_at_most(self, a: Point, b: Point, c: Point, cn: int, cd: int) -> bool:
         # (1 - cn/cd) * d(a,b) + d(b,c) <= d(a,c), times cd*d1*d2*d3
@@ -218,18 +217,9 @@ class _ExactL2Kernel(ExactKernel):
     length = staticmethod(sq_length)
     vector_length = staticmethod(lambda x, y: x * x + y * y)
 
-    def path_sum_eq(self, a: Point, b: Point, c: Point) -> bool:
-        # sqrt(A) + sqrt(B) = sqrt(C)  <=>  C - A - B >= 0 and (C-A-B)^2 = 4AB;
-        # both sides are multiplied by the product of the three denominators
-        n1, d1 = self.length(a, b)
-        n2, d2 = self.length(b, c)
-        n3, d3 = self.length(a, c)
-        lead = n3 * d1 * d2 - (n1 * d2 + n2 * d1) * d3
-        return lead >= 0 and lead * lead == 4 * n1 * n2 * d1 * d2 * d3 * d3
-
     def path_defect_at_most(self, a: Point, b: Point, c: Point, cn: int, cd: int) -> bool:
         # (s/cd) sqrt(n1/d1) + sqrt(n2/d2) <= sqrt(n3/d3) with s = cd - cn, times
-        # cd * sqrt(d1*d2*d3): sqrt(P) + sqrt(Q) <= sqrt(R), squared out as above
+        # cd * sqrt(d1*d2*d3): sqrt(P) + sqrt(Q) <= sqrt(R) iff R-P-Q >= 0 and (R-P-Q)^2 >= 4PQ
         n1, d1 = self.length(a, b)
         n2, d2 = self.length(b, c)
         n3, d3 = self.length(a, c)
