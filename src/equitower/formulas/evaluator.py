@@ -195,19 +195,13 @@ class _Evaluator:
     # ------------------------------------------------------------------
 
     def gamma_truncated(self, a: Point, b: Point, c: Point) -> bool:
+        if self.space.points_eq(a, b):  # every disjunct is a PSI whose first pair is (a, b): all false
+            return False
         trunc = self.trunc
-        degenerate = self.space.points_eq(a, b)
-        if degenerate:
-            n_bound = trunc.N
-        else:
-            n_bound = self.space.scaled_ratio_ceil(2**trunc.K, (b, c), (a, b)) + 2
+        n_bound = self.space.scaled_ratio_ceil(2**trunc.K, (b, c), (a, b)) + 2
         for k in range(1, trunc.K + 1):
-            if degenerate:
-                order = range(1, n_bound + 1)
-            else:
-                guess = self.space.scaled_ratio_ceil(2**k, (b, c), (a, b))
-                order = self._window_order(guess, n_bound)
-            if not any(self._gamma_disjunct(n, k, a, b, c) for n in order):
+            guess = self.space.scaled_ratio_ceil(2**k, (b, c), (a, b))
+            if not any(self._gamma_disjunct(n, k, a, b, c) for n in self._window_order(guess, n_bound)):
                 return False
         return True
 

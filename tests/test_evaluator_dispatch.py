@@ -17,7 +17,7 @@ from equitower.formulas.evaluator import EvalError, _Evaluator, schema_query
 from equitower.formulas.generate import random_formula
 from equitower.formulas.parser import parse_formula
 from equitower.formulas.verify import sample_instance, verify_layer
-from equitower.oracles import GAMMA, RelationId
+from equitower.oracles import GAMMA, RelationId, oracle_gamma
 
 from reference_eval import ReferenceEvaluator
 
@@ -205,3 +205,26 @@ def test_a_false_long_chain_on_a_grid_is_found_in_polynomial_time():
     assert not ev.run(query, dict(zip(params, (pt(0, 0), pt(1, 0), pt(40, 0)))), {})
     assert time.perf_counter() - start < 0.5
     assert ev.searches <= 8 * len(grid)
+
+
+@pytest.mark.parametrize("space", [S1, S2F], ids=["l1-exact", "l2-float"])
+@pytest.mark.parametrize(
+    "impl", [ImplMap.layered("GAMMA"), ImplMap(frozenset({"GAMMA", "PSI"}))], ids=["psi-oracle", "psi-formula"]
+)
+def test_gamma_with_a_equal_to_b_dispatches_no_psi(monkeypatch, space, impl):
+    # every disjunct is PSI(n, k) on (a, b, ...), which is false when a = b; the
+    # degenerate scan used to make one oracle dispatch per n up to N
+    seen = []
+    honest = evaluator.oracle_truth
+
+    def counting(space, r, points):
+        seen.append(r.name)
+        return honest(space, r, points)
+
+    monkeypatch.setattr(evaluator, "oracle_truth", counting)
+    coord = float if space.backend == "float" else F
+    a, c = Point(coord(1), coord(2)), Point(coord(5), coord(7))
+    query, params = schema_query(GAMMA)
+    ev = _Evaluator(space, Universe(space, [a, c]), TruncationParams(N=10**4), impl)
+    assert ev.run(query, dict(zip(params, (a, a, c))), {}) is oracle_gamma(space, a, a, c) is False
+    assert seen == []
