@@ -119,9 +119,9 @@ def rand_positive_fraction(rng: random.Random, span: int = 12, max_den: int = 8)
     return Fraction(randint(rng, 1, span), randint(rng, 1, max_den))
 
 
-def rand_unit_fraction(rng: random.Random, max_den: int = 16) -> Fraction:
-    """A rational strictly inside (0, 1)."""
-    den = randint(rng, 2, max_den)
+def rand_unit_fraction(rng: random.Random) -> Fraction:
+    """A rational strictly inside (0, 1), of denominator at most 16."""
+    den = randint(rng, 2, 16)
     return Fraction(randint(rng, 1, den - 1), den)
 
 
@@ -135,10 +135,10 @@ def rand_point(space: Space, rng: random.Random, span: int = 24, max_den: int = 
     return ExactPoint(xn * yd, yn * xd, xd * yd)
 
 
-def rand_nonzero_vector(space: Space, rng: random.Random, span: int = 12) -> Point:
+def rand_nonzero_vector(space: Space, rng: random.Random) -> Point:
     zero = Point(0.0, 0.0) if space.backend == "float" else Point(0, 0)
     while True:
-        v = rand_point(space, rng, span=span, max_den=4)
+        v = rand_point(space, rng, span=12, max_den=4)
         if v != zero:
             return v
 
@@ -160,16 +160,14 @@ def scale_vector(space: Space, v: Point, q: Fraction | int) -> Point:
     return ExactPoint(qn * v.X, qn * v.Y, qd * v.W)
 
 
-def rational_distance_triangle(
-    rng: random.Random, span: int = 6
-) -> tuple[Point, Point, Point, Fraction, Fraction, Fraction]:
+def rational_distance_triangle(rng: random.Random) -> tuple[Point, Point, Point, Fraction, Fraction, Fraction]:
     """Points b, a, c with all three pairwise l2 distances rational.
 
     Returns (b, a, c, d_ba, d_ac, d_bc).  Built from two rational points on
     circles sharing the same height, then translated by a random rational
     vector.  Degenerate (collinear) outputs are possible and legal.
     """
-    r = rand_positive_fraction(rng, span=span, max_den=4)
+    r = rand_positive_fraction(rng, span=6, max_den=4)
     t1 = Fraction(randint(rng, 1, 5), randint(rng, 1, 5))
     t2 = Fraction(randint(rng, 1, 5), randint(rng, 1, 5))
     # (x, h) at rational distance r from the origin
