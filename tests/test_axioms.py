@@ -1,16 +1,20 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from equitower import L1, L2, LINF, Point, Space
+from equitower import L1, L2, LINF, Point, Space, axioms
 from equitower.axioms import (
     check_axiom_a,
     check_axiom_g,
     check_axiom_h,
     check_axiom_i,
+    run_axiom,
     run_axiom_suite,
 )
+from equitower.geometry import point_from_record, point_to_record
 from equitower.oracles import oracle_B
+from equitower.reports import stable_json_dumps
 
 F = Fraction
 NORMS = [L1, L2, LINF]
@@ -92,3 +96,39 @@ class TestReportBookkeeping:
         rep = check_axiom_a(space, 20, seed=5)
         payload = rep.to_dict()
         assert payload["axiom"] == "a" and payload["violations"] == []
+
+
+def never_between(space, a, b, c):
+    return False
+
+
+def between_without_endpoints(space, a, b, c):
+    return oracle_B(space, a, b, c) and not space.points_eq(a, b) and not space.points_eq(b, c)
+
+
+@pytest.mark.parametrize(
+    "axiom,fault,clause,space",
+    [
+        ("b", never_between, "transport/uniqueness", Space(L1, "exact")),
+        ("b", never_between, "transport/uniqueness", Space(L2, "exact")),
+        ("b", never_between, "transport/uniqueness", Space(L2, "float", 1e-9)),
+        ("f", between_without_endpoints, "f conclusion B(b,c,c')", Space(L1, "exact")),
+        ("f", between_without_endpoints, "f conclusion B(b,c,c')", Space(L2, "exact")),
+        ("i", never_between, "i ray guard", Space(LINF, "exact")),
+        ("i", never_between, "i ray guard", Space(L2, "float", 1e-9)),
+    ],
+    ids=["b-l1-exact", "b-l2-exact", "b-l2-float", "f-l1-exact", "f-l2-exact", "i-linf-exact", "i-l2-float"],
+)
+def test_a_planted_fault_is_recorded_for_replay(monkeypatch, axiom, fault, clause, space):
+    # a betweenness that is never true, or that drops its endpoints, breaks
+    # the axiom; each violation names its clause and records its points so
+    # that they read back, after the report's JSON, as the same points
+    monkeypatch.setattr(axioms, "oracle_B", fault)
+    rep = run_axiom(axiom, space, samples=60, constructions=60, seed=5)
+    assert not rep.passed
+    assert {v["clause"] for v in rep.violations} == {clause}
+    replayed = json.loads(stable_json_dumps(rep.to_dict()))["violations"]
+    assert len(replayed) == len(rep.violations)
+    for violation in replayed:
+        for record in violation["points"].values():
+            assert point_to_record(space, point_from_record(space, record)) == record

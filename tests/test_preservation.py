@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from equitower import L1, L2, LINF, Point, Space
-from equitower.geometry import affine_combination, p_add, point_to_record
+from equitower import L1, L2, LINF, Point, Space, preservation
+from equitower.geometry import affine_combination, p_add, point_from_record, point_to_record
 from equitower.oracles import oracle_B
 from equitower.preservation import (
     ANISOTROPIC,
@@ -133,6 +133,17 @@ class TestClassification:
     def test_empty_map_list(self):
         summary = run_experiment(S2, [], 10, 10, seed=30)
         assert summary["maps"] == []
+
+    @pytest.mark.parametrize("space", [S2, Space(L1, "float", 1e-9)], ids=["l2-exact", "l1-float"])
+    def test_a_collapsing_map_is_forward_only(self, monkeypatch, space):
+        # every image segment has length 0: equal segments stay equal, unequal ones become equal
+        monkeypatch.setitem(preservation.NONLINEAR_FAMILIES, "collapse", lambda p: Point(p.x * 0, p.y * 0))
+        rep = check_equidistance_preservation(space, PlaneMap("nonlinear", family="collapse"), 200, seed=31)
+        assert rep.classification == "forward-only" == rep.to_dict()["classification"]
+        assert rep.forward_violations == 0 < rep.backward_violations
+        assert set(rep.first_witnesses) == {"backward"}
+        a, b, c, d = (point_from_record(space, r) for r in rep.first_witnesses["backward"])
+        assert not space.eq_dist(a, b, c, d)
 
 
 # ----------------------------------------------------------------------
