@@ -53,7 +53,7 @@ class ParseError(ValueError):
 
 _Token = namedtuple("_Token", "text line column")
 _Node = namedtuple("_Node", "atom items line column")  # an atom token, or a parenthesized list of nodes
-_TOKEN = re.compile(r"[()]|[^\s();]+")
+_TOKEN_RE = re.compile(r"[()]|[^\s();]+")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -61,7 +61,7 @@ def _tokenize(text: str) -> list[_Token]:
     return [
         _Token(m.group(), line, m.start() + 1)
         for line, row in enumerate(text.split("\n"), 1)
-        for m in _TOKEN.finditer(row.partition(";")[0])
+        for m in _TOKEN_RE.finditer(row.partition(";")[0])
     ]
 
 
