@@ -212,8 +212,8 @@ def test_a_false_long_chain_on_a_grid_is_found_in_polynomial_time():
     "impl", [ImplMap.layered("GAMMA"), ImplMap(frozenset({"GAMMA", "PSI"}))], ids=["psi-oracle", "psi-formula"]
 )
 def test_gamma_with_a_equal_to_b_dispatches_no_psi(monkeypatch, space, impl):
-    # every disjunct is PSI(n, k) on (a, b, ...), which is false when a = b; the
-    # degenerate scan used to make one oracle dispatch per n up to N
+    # every disjunct is PSI(n, k) on (a, b, ...), false when a = b, so the
+    # verdict needs no dispatch at any of the N multipliers
     seen = []
     honest = evaluator.oracle_truth
 
