@@ -19,8 +19,8 @@ from .axioms import CHECKERS, run_axiom, run_axiom_suite
 from .closure import IncompleteClosureError, close_midpoints, closure_for_relation
 from .formulas.ast import Exists, ForAll, SchemaRef, format_formula, free_point_vars
 from .formulas.evaluator import ImplMap, _Evaluator, eval_formula
-from .formulas.parser import ParseError, parse_formula
-from .formulas.schemas import SchemaError, TruncationParams, expand_schema
+from .formulas.parser import parse_formula
+from .formulas.schemas import TruncationParams, expand_schema
 from .formulas.verify import verify_layer
 from .geometry import (
     EXACT,
@@ -36,25 +36,15 @@ from .preservation import (
     ANISOTROPIC,
     CUBIC_X,
     SHEAR_X,
-    MapError,
     PlaneMap,
     run_experiment,
     similarity_suite,
 )
 from .reports import read_json, stable_json_dumps, write_report
-from .scalars import ScalarError, parse_exact
+from .scalars import parse_exact
 from .universe import TAG_INPUT, Universe
 
-USER_ERRORS = (
-    ParseError,
-    SchemaError,
-    OracleError,
-    GeometryError,
-    ScalarError,
-    MapError,
-    ValueError,
-    OSError,
-)
+USER_ERRORS = (OracleError, GeometryError, ValueError, OSError)
 
 
 def _add_space_flags(parser: argparse.ArgumentParser) -> None:
@@ -165,7 +155,11 @@ def cmd_eval(args) -> int:
     if args.universe == "auto":
         if isinstance(formula, SchemaRef) and all(isinstance(i, int) for i in formula.index_args):
             rel = RelationId(formula.name, tuple(formula.index_args))
-            universe = closure_for_relation(space, rel, tuple(points[: len(names)]), trunc)
+            inputs = tuple(points[: len(names)])
+            if rel.name in impl.formulas:
+                universe = closure_for_relation(space, rel, inputs, trunc)
+            else:  # an oracle-mode top reads no universe, so it needs no closure recipe
+                universe = Universe(space, inputs)
         else:
             universe = close_midpoints(space, points, depth=2) if points else Universe(space, [])
     else:

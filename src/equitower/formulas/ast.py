@@ -115,16 +115,6 @@ Formula = Union[
 ]
 
 
-def conj(*items: Formula) -> Formula:
-    flat = tuple(items)
-    return flat[0] if len(flat) == 1 else And(flat)
-
-
-def disj(*items: Formula) -> Formula:
-    flat = tuple(items)
-    return flat[0] if len(flat) == 1 else Or(flat)
-
-
 # node class -> DSL head; a form prints as ``(head extras... children...)``
 _HEADS = {AtomEqui: "equi", AtomEq: "=", Not: "not", And: "and", Or: "or", Implies: "implies", Exists: "exists",
           ForAll: "forall", CountableAnd: "bigand", CountableOr: "bigor", SchemaRef: "rel"}

@@ -6,6 +6,10 @@ Countable conjunctions and disjunctions are unrolled at expansion time
 result contains only finite connectives, quantifiers over point variables,
 atoms, and SchemaRefs to lower layers.
 
+Each expander writes its definition as formula-language text, the same
+text that ``expand`` prints; :func:`_expand_cached` parses it once per
+relation and truncation.
+
 Chained existentials are emitted in nested single-variable form with each
 chain constraint placed as early as its variables allow; conjunction and
 existential quantification commute, so this is logically identical to the
@@ -25,22 +29,8 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from ..oracles import RELATIONS, RelationId
-from .ast import (
-    And,
-    AtomEq,
-    AtomEqui,
-    Exists,
-    ForAll,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    SchemaRef,
-    Var,
-    conj,
-    disj,
-    free_point_vars,
-)
+from .ast import Formula
+from .parser import parse_formula
 
 B_MODES = ("repaired", "strict-paper")
 
@@ -83,209 +73,121 @@ class TruncationParams:
         return asdict(self)
 
 
-def _equi(*names_or_terms) -> AtomEqui:
-    terms = tuple(Var(t) if isinstance(t, str) else t for t in names_or_terms)
-    return AtomEqui(*terms)
+def _join(head: str, items: list[str]) -> str:
+    """``(head items...)``, or the lone item bare."""
+    return items[0] if len(items) == 1 else f"({head} {' '.join(items)})"
 
 
-def _eq(t1, t2) -> AtomEq:
-    return AtomEq(Var(t1) if isinstance(t1, str) else t1, Var(t2) if isinstance(t2, str) else t2)
-
-
-def _mid(a: str, b: str, c: str) -> SchemaRef:
-    return SchemaRef("M", (), (Var(a), Var(b), Var(c)))
-
-
-def _gamma(a: str, b: str, c: str) -> SchemaRef:
-    return SchemaRef("GAMMA", (), (Var(a), Var(b), Var(c)))
-
-
-def _chain_exists(conjuncts: list[Formula], outer: tuple[str, ...], leaf_extra: Formula | None = None) -> Formula:
-    """Nest ``conjuncts`` so each sits just inside single-variable
+def _chain(links: list[tuple[str, ...]], outer: tuple[str, ...], leaf: str | None = None) -> str:
+    """Nest each link ``(head, *names)`` just inside single-variable
     quantifiers over the names it mentions first, leaving out ``outer``
-    (the relation's formal points); ``leaf_extra`` joins the innermost body."""
-    seen = set(outer)
-    binders = []
-    for conjunct in conjuncts:
-        binders.append([name for name in free_point_vars(conjunct) if name not in seen])
+    (the relation's formal points); ``leaf`` joins the innermost body."""
+    seen, binders = set(outer), []
+    for _, *names in links:
+        binders.append([name for name in dict.fromkeys(names) if name not in seen])
         seen.update(binders[-1])
-    body = leaf_extra
-    for conjunct, names in reversed(list(zip(conjuncts, binders))):
-        body = conjunct if body is None else And((conjunct, body))
-        for name in reversed(names):
-            body = Exists((name,), body)
+    body = leaf
+    for (head, *names), new in reversed(list(zip(links, binders))):
+        link = f"({head} {' '.join(names)})"
+        body = link if body is None else f"(and {link} {body})"
+        for name in reversed(new):
+            body = f"(exists ({name}) {body})"
     return body
 
 
-def _expand_equiv2(trunc: TruncationParams) -> Formula:
-    exists_e = Exists(("e",), And((_equi("a", "e", "c", "d"), _equi("b", "e", "c", "d"))))
+def _expand_equiv2(trunc: TruncationParams) -> str:
     # the universal part is equivalent to d(a,b) >= 2 d(c,d): the pair
     # x = mid(a,b), y = mid(a,x) minimizes d(x,y) at d(a,b)/4, and the
     # consequent's z exists exactly when d(c,d) <= 2 d(x,y)
-    universal = ForAll(
-        ("x", "y"),
-        Implies(
-            And((_equi("x", "a", "x", "b"), _equi("y", "a", "y", "x"))),
-            Exists(("z",), And((_equi("z", "c", "x", "y"), _equi("z", "d", "x", "y")))),
-        ),
+    return (
+        "(and (exists (e) (and (equi a e c d) (equi b e c d)))"
+        " (forall (x y) (implies (and (equi x a x b) (equi y a y x))"
+        " (exists (z) (and (equi z c x y) (equi z d x y))))))"
     )
-    return And((exists_e, universal))
 
 
-def _expand_phi(trunc: TruncationParams, n: int) -> Formula:
-    stage0 = And((_equi("x", "a", "x", "b"), SchemaRef("EQUIV2", (), (Var("a"), Var("b"), Var("x"), Var("a")))))
+def _expand_phi(trunc: TruncationParams, n: int) -> str:
     if n == 0:
-        return stage0
-    inner = ForAll(
-        ("x3",),
-        Implies(
-            SchemaRef("PHI", (0,), (Var("a"), Var("b"), Var("x3"))),
-            Exists(
-                ("x1", "x2", "y"),
-                And(
-                    (
-                        SchemaRef("PHI", (0,), (Var("a"), Var("b"), Var("x1"))),
-                        SchemaRef("PHI", (0,), (Var("a"), Var("b"), Var("x2"))),
-                        SchemaRef("EQUIV2", (), (Var("x"), Var("y"), Var("x3"), Var("x"))),
-                        SchemaRef("LE", (), (Var("x"), Var("y"), Var("x1"), Var("x2"))),
-                    )
-                ),
-            ),
-        ),
+        return "(and (equi x a x b) (rel EQUIV2 a b x a))"
+    return (
+        f"(and (rel PHI {n - 1} a b x) (forall (x3) (implies (rel PHI 0 a b x3)"
+        " (exists (x1 x2 y) (and (rel PHI 0 a b x1) (rel PHI 0 a b x2) (rel EQUIV2 x y x3 x) (rel LE x y x1 x2))))))"
     )
-    return And((SchemaRef("PHI", (n - 1,), (Var("a"), Var("b"), Var("x"))), inner))
 
 
-def _expand_midpoint(trunc: TruncationParams) -> Formula:
+def _expand_midpoint(trunc: TruncationParams) -> str:
     # the refinement tower runs on the endpoint pair (a, c) with b as the
     # candidate midpoint
-    stages = tuple(
-        SchemaRef("PHI", (i,), (Var("a"), Var("c"), Var("b"))) for i in range(trunc.phi_depth + 1)
-    )
-    return And((Not(_eq("a", "c")),) + stages)
+    stages = " ".join(f"(rel PHI {i} a c b)" for i in range(trunc.phi_depth + 1))
+    return f"(and (not (= a c)) {stages})"
 
 
-def _expand_alpha(trunc: TruncationParams, n: int) -> Formula:
-    distinct = Not(_eq("a", "b"))
+def _expand_alpha(trunc: TruncationParams, n: int) -> str:
     if n == 1:
-        return And((distinct, _eq("x", "b")))
+        return "(and (not (= a b)) (= x b))"
     names = ["a", "b"] + [f"x{i}" for i in range(1, n - 1)] + ["x"]
-    conjuncts: list[Formula] = [
-        _mid(names[i], names[i + 1], names[i + 2]) for i in range(n - 1)
-    ]
-    return And((distinct, _chain_exists(conjuncts, RELATIONS["ALPHA"].params)))
+    links = [("rel M", *names[i : i + 3]) for i in range(n - 1)]
+    return f"(and (not (= a b)) {_chain(links, RELATIONS['ALPHA'].params)})"
 
 
-def _expand_beta(trunc: TruncationParams, k: int) -> Formula:
-    distinct = Not(_eq("a", "b"))
-    ys = [f"y{i}" for i in range(1, k)] + ["y"]
-    conjuncts: list[Formula] = [_mid("a", ys[0], "b")]
-    conjuncts.extend(_mid("a", ys[i], ys[i - 1]) for i in range(1, k))
-    return And((distinct, _chain_exists(conjuncts, RELATIONS["BETA"].params)))
+def _expand_beta(trunc: TruncationParams, k: int) -> str:
+    ys = ["b"] + [f"y{i}" for i in range(1, k)] + ["y"]
+    links = [("rel M", "a", ys[i], ys[i - 1]) for i in range(1, k + 1)]
+    return f"(and (not (= a b)) {_chain(links, RELATIONS['BETA'].params)})"
 
 
-def _expand_psi(trunc: TruncationParams, n: int, k: int) -> Formula:
-    witness = Exists(
-        ("v",),
-        And(
-            (
-                SchemaRef("BETA", (k,), (Var("a"), Var("b"), Var("v"))),
-                Exists(
-                    ("u",),
-                    And(
-                        (
-                            SchemaRef("ALPHA", (n,), (Var("a"), Var("v"), Var("u"))),
-                            Exists(
-                                ("e",),
-                                And((_equi("c", "e", "a", "u"), _equi("d", "e", "a", "v"))),
-                            ),
-                        )
-                    ),
-                ),
-            )
-        ),
+def _expand_psi(trunc: TruncationParams, n: int, k: int) -> str:
+    return (
+        f"(and (not (= a b)) (not (= c d)) (exists (v) (and (rel BETA {k} a b v)"
+        f" (exists (u) (and (rel ALPHA {n} a v u) (exists (e) (and (equi c e a u) (equi d e a v))))))))"
     )
-    return And((Not(_eq("a", "b")), Not(_eq("c", "d")), witness))
 
 
-def gamma_disjunct(n: int, k: int) -> Formula:
+def gamma_disjunct(n: int, k: int) -> str:
     """The k-stage disjunct at multiplier n inside GAMMA's tower."""
-    return And(
-        (
-            SchemaRef("PSI", (n, k), (Var("a"), Var("b"), Var("b"), Var("c"))),
-            SchemaRef("PSI", (n + 2**k, k), (Var("a"), Var("b"), Var("a"), Var("c"))),
-        )
-    )
+    return f"(and (rel PSI {n} {k} a b b c) (rel PSI {n + 2**k} {k} a b a c))"
 
 
-def _expand_gamma(trunc: TruncationParams) -> Formula:
-    layers = tuple(
-        disj(*(gamma_disjunct(n, k) for n in range(1, trunc.N + 1))) for k in range(1, trunc.K + 1)
-    )
-    return conj(*layers)
+def _expand_gamma(trunc: TruncationParams) -> str:
+    layers = [_join("or", [gamma_disjunct(n, k) for n in range(1, trunc.N + 1)]) for k in range(1, trunc.K + 1)]
+    return _join("and", layers)
 
 
-def b_chain_points(level: int) -> list[str]:
-    return [f"m{i}" for i in range(1, 2**level)]
-
-
-def _expand_b_level(level: int, mode: str) -> Formula:
-    mids = b_chain_points(level)
+def _expand_b_level(level: int, mode: str) -> str:
+    mids = [f"m{i}" for i in range(1, 2**level)]
     names = ["a"] + mids + ["c"]
-    hits: list[Formula] = [_gamma(names[j], "b", names[j + 1]) for j in range(len(names) - 1)]
+    hits = [f"(rel GAMMA {names[j]} b {names[j + 1]})" for j in range(len(names) - 1)]
     if mode == "repaired":
-        hits = [_eq("b", m) for m in mids] + hits
-    hit = disj(*hits)
-    conjuncts: list[Formula] = [_mid(names[i], names[i + 1], names[i + 2]) for i in range(len(names) - 2)]
-    return _chain_exists(conjuncts, RELATIONS["B"].params, leaf_extra=hit)
+        hits = [f"(= b {m})" for m in mids] + hits
+    links = [("rel M", *names[i : i + 3]) for i in range(len(names) - 2)]
+    return _chain(links, RELATIONS["B"].params, leaf=_join("or", hits))
 
 
-def _expand_b(trunc: TruncationParams) -> Formula:
-    tower = conj(*(_expand_b_level(n, trunc.b_mode) for n in range(1, trunc.b_depth + 1)))
-    return Or((_eq("a", "b"), _eq("b", "c"), tower))
+def _expand_b(trunc: TruncationParams) -> str:
+    tower = _join("and", [_expand_b_level(n, trunc.b_mode) for n in range(1, trunc.b_depth + 1)])
+    return f"(or (= a b) (= b c) {tower})"
 
 
-def _expand_delta(trunc: TruncationParams, n: int) -> Formula:
-    if n == 1:
-        return _equi("z0", "zn", "z0", "x")
+def _expand_delta(trunc: TruncationParams, n: int) -> str:
     names = ["z0"] + [f"z{i}" for i in range(1, n)] + ["zn"]
-    conjuncts: list[Formula] = [
-        _equi(names[i], names[i + 1], "z0", "x") for i in range(n)
-    ]
-    return _chain_exists(conjuncts, RELATIONS["DELTA"].params)
+    links = [("equi", names[i], names[i + 1], "z0", "x") for i in range(n)]
+    return _chain(links, RELATIONS["DELTA"].params)
 
 
-def _expand_neq(trunc: TruncationParams) -> Formula:
-    chains = tuple(
-        SchemaRef("DELTA", (n,), (Var("x"), Var("y"), Var("z"))) for n in range(2, trunc.chain_max + 1)
-    )
-    return ForAll(("z",), disj(*chains))
+def _expand_neq(trunc: TruncationParams) -> str:
+    chains = [f"(rel DELTA {n} x y z)" for n in range(2, trunc.chain_max + 1)]
+    return f"(forall (z) {_join('or', chains)})"
 
 
-def _expand_le(trunc: TruncationParams) -> Formula:
-    return ForAll(
-        ("m",),
-        Exists(
-            ("s",),
-            Implies(
-                _equi("c", "m", "d", "m"),
-                And((_equi("a", "b", "c", "s"), _equi("c", "m", "s", "m"))),
-            ),
-        ),
-    )
+def _expand_le(trunc: TruncationParams) -> str:
+    return "(forall (m) (exists (s) (implies (equi c m d m) (and (equi a b c s) (equi c m s m)))))"
 
 
-def _expand_collinear(trunc: TruncationParams) -> Formula:
-    return Or(
-        (
-            SchemaRef("B", (), (Var("x"), Var("y"), Var("z"))),
-            SchemaRef("B", (), (Var("y"), Var("z"), Var("x"))),
-            SchemaRef("B", (), (Var("z"), Var("x"), Var("y"))),
-        )
-    )
+def _expand_collinear(trunc: TruncationParams) -> str:
+    return "(or (rel B x y z) (rel B y z x) (rel B z x y))"
 
 
-# relation name -> expander called as ``expander(trunc, *indices)``
+# relation name -> expander called as ``expander(trunc, *indices)``; it returns DSL text
 _EXPANSIONS = {
     "EQUIV2": _expand_equiv2,
     "PHI": _expand_phi,
@@ -304,7 +206,7 @@ _EXPANSIONS = {
 
 @lru_cache(maxsize=4096)
 def _expand_cached(rel: RelationId, trunc: TruncationParams) -> Formula:
-    return _EXPANSIONS[rel.name](trunc, *rel.indices)
+    return parse_formula(_EXPANSIONS[rel.name](trunc, *rel.indices))
 
 
 def schema_params(rel: RelationId) -> tuple[str, ...]:

@@ -9,8 +9,9 @@ module promises.
 
 A relation is layer-verifiable exactly when it has a sampler in
 ``_SAMPLERS``.  Its oracle and formal points come from
-:data:`equitower.oracles.RELATIONS`, its formula from ``schemas._EXPANSIONS``
-and its universe from :func:`equitower.closure.closure_for_relation`.
+:data:`equitower.oracles.RELATIONS`, its formula from the DSL text in
+``schemas._EXPANSIONS`` and its universe from
+:func:`equitower.closure.closure_for_relation`.
 
 Backend policy: everything verifies on the exact backend except lp norms,
 which are float-only, and the layers whose closures need sphere-sphere

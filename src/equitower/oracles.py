@@ -3,8 +3,9 @@
 Each relation is defined once, in :data:`RELATIONS`: its index count and
 index check, its formal point parameters (their number is its arity) and
 its oracle.  The layers above keep only their own part, keyed by the same
-name: the formula expansion in ``formulas.schemas._EXPANSIONS``, the biased
-sampler in ``formulas.verify._SAMPLERS`` and the witness/refuter recipe in
+name: the formula expansion, written as DSL text, in
+``formulas.schemas._EXPANSIONS``, the biased sampler in
+``formulas.verify._SAMPLERS`` and the witness/refuter recipe in
 :func:`equitower.closure.closure_for_relation`.  A new relation touches
 those four places.
 

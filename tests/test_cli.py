@@ -76,6 +76,14 @@ class TestEval:
         assert main([*argv, "--impl", "GAMMA=oracle"]) == 0
         assert "\n  formula mode: none\n" in capsys.readouterr().out
 
+    def test_oracle_mode_top_needs_no_closure_recipe(self, tmp_path, capsys):
+        # PARALLELOGRAM has an oracle but no closure recipe; in oracle mode it reads no universe
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps([{"x": x, "y": y} for x, y in (("0", "0"), ("1", "0"), ("1", "1"), ("0", "1"))]))
+        argv = ["eval", "--formula", "(rel PARALLELOGRAM a b c d)", "--points", str(path), "--impl", "PARALLELOGRAM=oracle"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "true\n"
+
     def test_universe_file_round_trip(self, tmp_path, collinear_points):
         uni_path = tmp_path / "uni.json"
         code = main(

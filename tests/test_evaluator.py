@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from equitower import ImplMap, L2, LINF, Point, Space, TruncationParams, Universe, eval_formula
+from equitower import ImplMap, L1, L2, LINF, Point, Space, TruncationParams, Universe, eval_formula
 from equitower.closure import closure_for_relation
 from equitower.formulas.evaluator import EvalError, schema_query
 from equitower.formulas.generate import random_formula
@@ -15,6 +15,8 @@ from equitower.formulas.verify import sample_instance
 F = Fraction
 S2 = Space(L2, "exact")
 SI = Space(LINF, "exact")
+S1 = Space(L1, "exact")
+SF2 = Space(L2, "float", 1e-9)
 TR = TruncationParams()
 
 
@@ -155,19 +157,23 @@ class TestAdaptiveGamma:
                     assert adaptive
 
     def test_window_scan_equals_ascending_scan(self):
-        rng = random.Random(80)
-        for _ in range(40):
-            pts = sample_instance(S2, rng, GAMMA, TR)
-            fast = gamma_eval(S2, pts, TruncationParams(K=5))
-            # force the ascending scan by evaluating the unrolled expansion
-            # at the same per-query bound the adaptive path would use
-            a, b, c = pts
-            if S2.points_eq(a, b):
-                n_bound = TR.N
-            else:
-                n_bound = S2.scaled_ratio_ceil(2**5, (b, c), (a, b)) + 2
-            slow = gamma_eval(S2, pts, TruncationParams(K=5, N=n_bound), adaptive=False)
-            assert fast == slow
+        for space in (S2, S1, SI, SF2):
+            rng = random.Random(80)
+            verdicts = set()
+            for _ in range(40):
+                pts = sample_instance(space, rng, GAMMA, TR)
+                fast = gamma_eval(space, pts, TruncationParams(K=5))
+                # force the ascending scan by evaluating the unrolled expansion
+                # at the same per-query bound the adaptive path would use
+                a, b, c = pts
+                if space.points_eq(a, b):
+                    n_bound = TR.N
+                else:
+                    n_bound = space.scaled_ratio_ceil(2**5, (b, c), (a, b)) + 2
+                slow = gamma_eval(space, pts, TruncationParams(K=5, N=n_bound), adaptive=False)
+                assert fast == slow, (space, pts)
+                verdicts.add(fast)
+            assert verdicts == {True, False}, space  # the draws reach both verdicts
 
 
 class TestBRegression:
